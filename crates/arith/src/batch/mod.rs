@@ -39,6 +39,11 @@
 //! Same bits, fewer memory shuffles — the accumulation order is preserved
 //! exactly at every lane width.
 //!
+//! The projected dense phase of the Krylov–Schur restart is not a bulk
+//! kernel; it runs generic code at [`BatchReal::Dense`], which is
+//! [`crate::Decoded<T>`] for the posit and takum formats — the same
+//! kernel-plus-value-level-round ops, with the whole matrix kept decoded.
+//!
 //! ## The `LPA_KERNEL_BATCH` knob
 //!
 //! Like the 16-bit tier ([`crate::tier`]), the engine is selectable at
@@ -46,7 +51,9 @@
 //! bits.  Selection, in precedence order: [`force_kernel_batch`] (process
 //! global, used by differential tests), the `LPA_KERNEL_BATCH` environment
 //! variable (`batch`/`on`/`1` or `scalar`/`off`/`0`; read only in this
-//! module), then the default: `batch`.
+//! module), then the default: `batch`.  The knob covers the bulk kernels
+//! of the expansion only: the dense phase's element type is chosen by
+//! type (`BatchReal::Dense`), not by this switch.
 
 pub mod lanes;
 pub mod planes;
@@ -61,8 +68,6 @@ pub use planes::{
 use std::sync::atomic::{AtomicU8, Ordering};
 
 use crate::real::Real;
-use crate::softfloat;
-use crate::unpacked::Unpacked;
 
 /// The kernel engine serving the bulk linear-algebra loops.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -191,6 +196,22 @@ pub trait BatchReal: Real {
     /// format; `Generic` routes through `dec_add`/`dec_mul` per element.
     const ROUND: round::RoundPlan = round::RoundPlan::Generic;
 
+    /// The element type the projected dense phase of the Krylov–Schur
+    /// restart (`lpa_dense`'s `schur` and `reorder_schur`) runs at:
+    /// [`Decoded<Self>`](crate::Decoded) for the posit and takum formats
+    /// with an [`Unpacked`](crate::unpacked::Unpacked) operand form, `Self`
+    /// for everything else.
+    /// Both are bit-identical; this is a speed choice made per type, so
+    /// the generic dense code is instantiated once per format.
+    type Dense: BatchReal;
+
+    /// Convert to the dense-phase element type (a decode for
+    /// `Dense = Decoded<Self>`, the identity otherwise).
+    fn to_dense(self) -> Self::Dense;
+
+    /// Convert back from the dense-phase element type (exact).
+    fn from_dense(d: Self::Dense) -> Self;
+
     /// Decode once (the cache fill).
     fn dec(self) -> Self::Dec;
 
@@ -211,39 +232,59 @@ pub trait BatchReal: Real {
     fn dec_is_zero(a: Self::Dec) -> bool;
 }
 
+/// The [`BatchReal`] items (expanded inside an `impl BatchReal` block) of
+/// a type whose decoded form is itself: its scalar operators are already
+/// a table load, a hardware instruction or (for [`crate::Decoded`]) a
+/// decoded-domain op, so there is nothing to pre-decode.
+macro_rules! self_batch_items {
+    ($t:ty) => {
+        type Dec = $t;
+        type Planes = $crate::batch::planes::ScalarPlanes<$t>;
+        type Dense = $t;
+        const DECODED: bool = false;
+
+        #[inline(always)]
+        fn dec(self) -> $t {
+            self
+        }
+        #[inline(always)]
+        fn undec(d: $t) -> $t {
+            d
+        }
+        #[inline(always)]
+        fn dec_add(a: $t, b: $t) -> $t {
+            a + b
+        }
+        #[inline(always)]
+        fn dec_mul(a: $t, b: $t) -> $t {
+            a * b
+        }
+        #[inline(always)]
+        fn dec_neg(a: $t) -> $t {
+            -a
+        }
+        #[inline(always)]
+        fn dec_is_zero(a: $t) -> bool {
+            a.is_zero()
+        }
+        #[inline(always)]
+        fn to_dense(self) -> $t {
+            self
+        }
+        #[inline(always)]
+        fn from_dense(d: $t) -> $t {
+            d
+        }
+    };
+}
+pub(crate) use self_batch_items;
+
 /// Implements [`BatchReal`] with `Dec = Self` for formats whose scalar
 /// operators are already a table load or a hardware instruction.
 macro_rules! self_batch {
     ($($t:ty),* $(,)?) => {$(
         impl BatchReal for $t {
-            type Dec = $t;
-            type Planes = ScalarPlanes<$t>;
-            const DECODED: bool = false;
-
-            #[inline(always)]
-            fn dec(self) -> $t {
-                self
-            }
-            #[inline(always)]
-            fn undec(d: $t) -> $t {
-                d
-            }
-            #[inline(always)]
-            fn dec_add(a: $t, b: $t) -> $t {
-                a + b
-            }
-            #[inline(always)]
-            fn dec_mul(a: $t, b: $t) -> $t {
-                a * b
-            }
-            #[inline(always)]
-            fn dec_neg(a: $t) -> $t {
-                -a
-            }
-            #[inline(always)]
-            fn dec_is_zero(a: $t) -> bool {
-                a.is_zero()
-            }
+            self_batch_items!($t);
         }
     )*};
 }
@@ -258,32 +299,6 @@ self_batch!(
     crate::types::Posit8Es0,
     crate::types::Takum8,
 );
-
-/// Shared decoded-domain kernel bodies for the [`Unpacked`]-shadow formats
-/// (used by the backend macros in `types.rs`): run the soft-float kernel on
-/// the pre-decoded operands, then round back onto the format's grid in the
-/// decoded domain.
-#[inline]
-pub(crate) fn dec_add_via<R: Fn(&Unpacked) -> Unpacked>(a: &Unpacked, b: &Unpacked, round: R) -> Unpacked {
-    round(&softfloat::add(a, b))
-}
-
-#[inline]
-pub(crate) fn dec_mul_via<R: Fn(&Unpacked) -> Unpacked>(a: &Unpacked, b: &Unpacked, round: R) -> Unpacked {
-    round(&softfloat::mul(a, b))
-}
-
-#[inline]
-pub(crate) fn dec_neg_via<R: Fn(&Unpacked) -> Unpacked>(a: &Unpacked, round: R) -> Unpacked {
-    let mut n = *a;
-    if !n.is_nan() {
-        n.sign = !n.sign;
-    }
-    // Negation of a canonical value is exact for every format in this
-    // crate; the round only canonicalizes IEEE `-0` vs the tapered
-    // formats' single zero.
-    round(&n)
-}
 
 /// A vector of scalars alongside their pre-decoded shadow forms, kept in
 /// sync — the ready-made owner for callers building their own operand

@@ -35,6 +35,7 @@
 
 pub mod batch;
 pub mod dd;
+pub mod decoded;
 pub mod ieee;
 pub mod info;
 pub mod lut;
@@ -54,6 +55,7 @@ pub use batch::{
     KernelLanes, PlaneStore, UnpackedPlanes,
 };
 pub use dd::Dd;
+pub use decoded::{Decoded, UnpackedReal};
 pub use info::FormatInfo;
 pub use real::Real;
 pub use tier::{dec16_tier, env_dec16_tier, force_dec16_tier, Dec16Tier};

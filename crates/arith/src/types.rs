@@ -27,6 +27,7 @@
 use core::cmp::Ordering;
 use core::fmt;
 
+use crate::decoded::Decoded;
 use crate::ieee::{self, pack_f64, unpack_f64};
 use crate::posit;
 use crate::real::Real;
@@ -249,20 +250,30 @@ macro_rules! real_storage_core {
 
 /// The [`crate::batch::BatchReal`] implementation shared by every format
 /// whose pre-decoded operand form is the [`Unpacked`] representation (the
-/// 16-bit and the soft-float 32/64-bit backends): the decoded-domain ops
-/// run the shared kernel on the cached operands and round back onto the
-/// format's grid via the codec's value-level rounder
-/// (`crate::batch::round::$codec`), skipping both operand decodes and the
-/// bit-pattern round trip — bit-identical to the scalar operators by the
-/// rounder's contract (verified in `tests/batch_differential.rs`).
+/// 16-bit and the soft-float 32/64-bit backends), plus its one rounding
+/// hook, [`crate::decoded::UnpackedReal`]: the codec's value-level rounder
+/// (`crate::batch::round::$codec`).  The decoded-domain ops are
+/// [`crate::Decoded`]'s — the shared kernel on the cached operands, then
+/// that rounder — skipping both operand decodes and the bit-pattern round
+/// trip, bit-identical to the scalar operators by the rounder's contract
+/// (verified in `tests/batch_differential.rs` and
+/// `tests/decoded_conformance.rs`).
 macro_rules! unpacked_batch {
     ($name:ident, $codec:ident, $spec:expr, $dec:expr) => {
+        impl crate::decoded::UnpackedReal for $name {
+            #[inline]
+            fn round_value(u: &Unpacked) -> Unpacked {
+                crate::batch::round::$codec(u, &$spec)
+            }
+        }
+
         impl crate::batch::BatchReal for $name {
             type Dec = Unpacked;
             type Planes = crate::batch::planes::UnpackedPlanes;
             const DECODED: bool = true;
             const ROUND: crate::batch::round::RoundPlan =
                 crate::batch::round::plan::$codec(&$spec);
+            dense_phase!($codec, $name);
 
             #[inline]
             fn dec(self) -> Unpacked {
@@ -275,20 +286,50 @@ macro_rules! unpacked_batch {
             }
             #[inline]
             fn dec_add(a: Unpacked, b: Unpacked) -> Unpacked {
-                crate::batch::dec_add_via(&a, &b, |u| crate::batch::round::$codec(u, &$spec))
+                (Decoded::<$name>::from_dec(a) + Decoded::from_dec(b)).into_dec()
             }
             #[inline]
             fn dec_mul(a: Unpacked, b: Unpacked) -> Unpacked {
-                crate::batch::dec_mul_via(&a, &b, |u| crate::batch::round::$codec(u, &$spec))
+                (Decoded::<$name>::from_dec(a) * Decoded::from_dec(b)).into_dec()
             }
             #[inline]
             fn dec_neg(a: Unpacked) -> Unpacked {
-                crate::batch::dec_neg_via(&a, |u| crate::batch::round::$codec(u, &$spec))
+                (-Decoded::<$name>::from_dec(a)).into_dec()
             }
             #[inline]
             fn dec_is_zero(a: Unpacked) -> bool {
                 a.is_zero()
             }
+        }
+    };
+}
+
+/// The dense-phase element type per codec family (see
+/// [`crate::batch::BatchReal::Dense`]).  The IEEE formats stay on their own
+/// type: their rounder is a full encode + decode, so a decoded Schur phase
+/// measured 8–14% slower for float16/bfloat16.  Posits and takums round
+/// at value level and run the phase decoded.
+macro_rules! dense_phase {
+    (ieee, $name:ident) => {
+        type Dense = $name;
+        #[inline(always)]
+        fn to_dense(self) -> $name {
+            self
+        }
+        #[inline(always)]
+        fn from_dense(d: $name) -> $name {
+            d
+        }
+    };
+    ($codec:ident, $name:ident) => {
+        type Dense = Decoded<$name>;
+        #[inline]
+        fn to_dense(self) -> Decoded<$name> {
+            Decoded::decode(self)
+        }
+        #[inline]
+        fn from_dense(d: Decoded<$name>) -> $name {
+            d.encode()
         }
     };
 }

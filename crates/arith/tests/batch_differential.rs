@@ -20,24 +20,13 @@
 //!    `scale_decoded` and the slice-dispatch entry points against the
 //!    plain scalar loops.
 
+mod common;
+
+use common::{boundary_corpus_16, boundary_corpus_32, same_unpacked};
 use lpa_arith::batch::{self, round, BatchReal, DecodedPlanes, DecodedSlice, KernelLanes};
 use lpa_arith::unpacked::{Class, Unpacked};
 use lpa_arith::{posit, takum, types::*, PlaneStore, Real};
 use proptest::prelude::*;
-
-/// Field-wise equality of two unpacked values (NaN compares equal to NaN).
-fn same_unpacked(a: &Unpacked, b: &Unpacked) -> bool {
-    if a.class != b.class {
-        return false;
-    }
-    match a.class {
-        Class::Nan => true,
-        Class::Zero | Class::Inf => a.sign == b.sign,
-        Class::Finite => {
-            a.sign == b.sign && a.exp == b.exp && a.sig == b.sig && a.sticky == b.sticky
-        }
-    }
-}
 
 /// Significand corpus: normalized patterns exercising exact values, every
 /// rounding position (round bit set / clear, sticky-below set / clear) and
@@ -197,78 +186,6 @@ fn diff_all16(a: u16, b: u16) {
     diff_posit16(a, b);
     diff_posit16_es1(a, b);
     diff_takum16(a, b);
-}
-
-/// The 16-bit boundary corpus (the PR-3 shape: specials, ±0, max-finite /
-/// min-positive neighbourhoods in both sign halves, subnormal edges, every
-/// power-of-two regime/exponent-window boundary).
-fn boundary_corpus_16() -> Vec<u16> {
-    let mut pats: Vec<u16> = vec![
-        0x0000, 0x0001, 0x0002, 0x8000, 0x8001, 0x8002, 0x00ff, 0x0100, 0x0380, 0x03ff, 0x0400,
-        0x0401, 0x7bff, 0x7c00, 0x7c01, 0x7e00, 0x7f80, 0x7fc0, 0x7ffe, 0x7fff, 0xfbff, 0xfc00,
-        0xfe00, 0xff80, 0xfffe, 0xffff,
-    ];
-    for k in 0..16u32 {
-        let p = 1u16 << k;
-        for q in [p, p.wrapping_sub(1), p.wrapping_add(1)] {
-            pats.push(q);
-            pats.push(q | 0x8000);
-            pats.push(q.wrapping_neg());
-        }
-    }
-    for bits in [
-        F16::one().to_bits(),
-        Bf16::one().to_bits(),
-        Posit16::one().to_bits(),
-        Takum16::one().to_bits(),
-        F16::max_finite().to_bits(),
-        Bf16::max_finite().to_bits(),
-        Posit16::max_finite().to_bits(),
-        Takum16::max_finite().to_bits(),
-        F16::min_positive().to_bits(),
-        Posit16::min_positive().to_bits(),
-        Takum16::min_positive().to_bits(),
-    ] {
-        for p in [bits.wrapping_sub(1), bits, bits.wrapping_add(1)] {
-            pats.push(p);
-            pats.push(p ^ 0x8000);
-            pats.push(p.wrapping_neg());
-        }
-    }
-    pats.sort_unstable();
-    pats.dedup();
-    pats
-}
-
-/// The 32-bit analog: the tapered formats' saturation patterns and every
-/// regime/characteristic window boundary, in both sign halves.
-fn boundary_corpus_32() -> Vec<u32> {
-    let mut pats: Vec<u32> = vec![0x0000_0000, 0x0000_0001, 0x8000_0000, 0x8000_0001];
-    for k in 0..32u32 {
-        let p = 1u32 << k;
-        for q in [p, p.wrapping_sub(1), p.wrapping_add(1)] {
-            pats.push(q);
-            pats.push(q | 0x8000_0000);
-            pats.push(q.wrapping_neg());
-        }
-    }
-    for bits in [
-        Posit32::one().to_bits(),
-        Takum32::one().to_bits(),
-        Posit32::max_finite().to_bits(),
-        Takum32::max_finite().to_bits(),
-        Posit32::min_positive().to_bits(),
-        Takum32::min_positive().to_bits(),
-    ] {
-        for p in [bits.wrapping_sub(1), bits, bits.wrapping_add(1)] {
-            pats.push(p);
-            pats.push(p ^ 0x8000_0000);
-            pats.push(p.wrapping_neg());
-        }
-    }
-    pats.sort_unstable();
-    pats.dedup();
-    pats
 }
 
 #[test]

@@ -1,0 +1,300 @@
+//! Conformance suite for [`lpa_arith::Decoded`]: for every format whose
+//! decoded form is `Unpacked` (float16, bfloat16, posit16, posit16(es=1),
+//! takum16, posit32, takum32, posit64, takum64), every op, comparison and
+//! classification of `Decoded<T>` must agree with `T`'s own scalar op.
+//!
+//! "Agree" is checked at the strictest level that matters for chains: the
+//! decoded result of each op must be *field for field* the decode of `T`'s
+//! result (so the next op in a chain sees identical input), and encoding it
+//! must give `T`'s result bits.  Operands come from the boundary corpora
+//! (specials, saturation neighbourhoods, every regime / exponent window
+//! edge, both sign halves) and from random bit patterns.
+
+mod common;
+
+use std::cmp::Ordering;
+
+use common::{boundary_corpus_16, boundary_corpus_32, boundary_corpus_64};
+use lpa_arith::{types::*, Decoded, Real, UnpackedReal};
+use proptest::prelude::*;
+
+/// `d` is exactly the canonical decode of `x`.
+#[track_caller]
+fn assert_same<T: UnpackedReal>(d: Decoded<T>, x: T, what: &str) {
+    assert_eq!(
+        d.into_dec(),
+        x.dec(),
+        "{what} in {}: decoded form diverged",
+        T::NAME
+    );
+}
+
+#[allow(clippy::neg_cmp_op_on_partial_ord)]
+fn check_pair<T: UnpackedReal>(x: T, y: T) {
+    let (dx, dy) = (Decoded::decode(x), Decoded::decode(y));
+    assert_same(dx + dy, x + y, &format!("{x:?} + {y:?}"));
+    assert_same(dx - dy, x - y, &format!("{x:?} - {y:?}"));
+    assert_same(dx * dy, x * y, &format!("{x:?} * {y:?}"));
+    assert_same(dx / dy, x / y, &format!("{x:?} / {y:?}"));
+    let mut acc = dx;
+    acc += dy;
+    acc -= dx;
+    acc *= dy;
+    acc /= dx;
+    assert_same(
+        acc,
+        (x + y - x) * y / x,
+        &format!("compound ops on {x:?}, {y:?}"),
+    );
+    assert_eq!(
+        dx.partial_cmp(&dy),
+        x.partial_cmp(&y),
+        "{x:?} cmp {y:?} in {}",
+        T::NAME
+    );
+    assert_eq!(dx == dy, x == y, "{x:?} == {y:?} in {}", T::NAME);
+    assert_eq!(dx < dy, x < y, "{x:?} < {y:?} in {}", T::NAME);
+    assert_eq!(!(dx >= dy), !(x >= y), "{x:?} >= {y:?} in {}", T::NAME);
+    assert_same(dx.max(dy), x.max(y), &format!("max({x:?}, {y:?})"));
+    assert_same(dx.min(dy), x.min(y), &format!("min({x:?}, {y:?})"));
+    assert_same(
+        dx.mul_add(dy, dx),
+        x.mul_add(y, x),
+        &format!("mul_add({x:?}, {y:?})"),
+    );
+}
+
+fn check_unary<T: UnpackedReal>(x: T) {
+    let d = Decoded::decode(x);
+    assert_same(-d, -x, &format!("-{x:?}"));
+    assert_same(d.abs(), x.abs(), &format!("abs {x:?}"));
+    assert_same(d.sqrt(), x.sqrt(), &format!("sqrt {x:?}"));
+    assert_same(d.recip(), x.recip(), &format!("recip {x:?}"));
+    assert_same(d.powi(3), x.powi(3), &format!("powi {x:?}"));
+    assert_eq!(d.is_nan(), x.is_nan(), "is_nan {x:?}");
+    assert_eq!(d.is_finite(), x.is_finite(), "is_finite {x:?}");
+    assert_eq!(d.is_zero(), x.is_zero(), "is_zero {x:?}");
+    let (a, b) = (d.to_f64(), x.to_f64());
+    assert!(
+        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()),
+        "to_f64 {x:?}: {a} vs {b}"
+    );
+    // Encoding is exact, and so are the dense-phase conversions.
+    assert_eq!(d.encode().dec(), x.dec(), "encode round trip {x:?}");
+    assert_eq!(
+        T::from_dense(x.to_dense()).dec(),
+        x.dec(),
+        "dense round trip {x:?}"
+    );
+}
+
+fn check_constants<T: UnpackedReal>() {
+    assert_same(Decoded::<T>::zero(), T::zero(), "zero");
+    assert_same(Decoded::<T>::one(), T::one(), "one");
+    assert_same(Decoded::<T>::two(), T::two(), "two");
+    assert_same(Decoded::<T>::half(), T::half(), "half");
+    assert_same(Decoded::<T>::epsilon(), T::epsilon(), "epsilon");
+    assert_same(Decoded::<T>::max_finite(), T::max_finite(), "max_finite");
+    assert_same(
+        Decoded::<T>::min_positive(),
+        T::min_positive(),
+        "min_positive",
+    );
+    assert_same(
+        Decoded::<T>::from_usize(37),
+        T::from_usize(37),
+        "from_usize",
+    );
+    for x in [
+        0.0,
+        -0.0,
+        1.0,
+        -1.5,
+        0.1,
+        1.0 / 3.0,
+        65504.0,
+        65520.0,
+        1e-8,
+        -3e38,
+        1e300,
+        -1e-300,
+        f64::MIN_POSITIVE / 4.0,
+        f64::MAX,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+    ] {
+        assert_same(
+            Decoded::<T>::from_f64(x),
+            T::from_f64(x),
+            &format!("from_f64({x})"),
+        );
+    }
+    assert_eq!(<Decoded<T> as Real>::NAME, T::NAME);
+    assert_eq!(<Decoded<T> as Real>::BITS, T::BITS);
+}
+
+/// Every pair and every single operand of a corpus, for one format.
+fn check_corpus<T: UnpackedReal>(xs: &[T]) {
+    for &x in xs {
+        check_unary(x);
+        for &y in xs {
+            check_pair(x, y);
+        }
+    }
+}
+
+fn corpus16<T: UnpackedReal>(from_bits: fn(u16) -> T) -> Vec<T> {
+    boundary_corpus_16().into_iter().map(from_bits).collect()
+}
+
+#[test]
+fn constants_and_conversions_match_every_format() {
+    check_constants::<F16>();
+    check_constants::<Bf16>();
+    check_constants::<Posit16>();
+    check_constants::<Posit16Es1>();
+    check_constants::<Takum16>();
+    check_constants::<Posit32>();
+    check_constants::<Takum32>();
+    check_constants::<Posit64>();
+    check_constants::<Takum64>();
+}
+
+#[test]
+fn ops_match_on_boundary_corpus_16() {
+    check_corpus(&corpus16(F16::from_bits));
+    check_corpus(&corpus16(Bf16::from_bits));
+    check_corpus(&corpus16(Posit16::from_bits));
+    check_corpus(&corpus16(Posit16Es1::from_bits));
+    check_corpus(&corpus16(Takum16::from_bits));
+}
+
+#[test]
+fn ops_match_on_boundary_corpus_32() {
+    let pats = boundary_corpus_32();
+    check_corpus(
+        &pats
+            .iter()
+            .map(|&b| Posit32::from_bits(b))
+            .collect::<Vec<_>>(),
+    );
+    check_corpus(
+        &pats
+            .iter()
+            .map(|&b| Takum32::from_bits(b))
+            .collect::<Vec<_>>(),
+    );
+}
+
+#[test]
+fn ops_match_on_boundary_corpus_64() {
+    let pats = boundary_corpus_64();
+    check_corpus(
+        &pats
+            .iter()
+            .map(|&b| Posit64::from_bits(b))
+            .collect::<Vec<_>>(),
+    );
+    check_corpus(
+        &pats
+            .iter()
+            .map(|&b| Takum64::from_bits(b))
+            .collect::<Vec<_>>(),
+    );
+}
+
+#[test]
+fn zero_compares_equal_across_signs_and_nan_is_unordered() {
+    fn check<T: UnpackedReal>() {
+        let z = Decoded::<T>::zero();
+        let nz = -z;
+        assert_eq!(z.partial_cmp(&nz), Some(Ordering::Equal), "{}", T::NAME);
+        let nan = Decoded::<T>::from_f64(f64::NAN);
+        assert_eq!(nan.partial_cmp(&z), None, "{}", T::NAME);
+        assert!(nan != nan, "{}", T::NAME);
+    }
+    check::<F16>();
+    check::<Posit32>();
+    check::<Takum64>();
+}
+
+/// A random op chain kept decoded end to end, against `T`'s chain: the
+/// Schur phase's usage pattern in miniature.
+fn chain<T: UnpackedReal>(seed: u64) {
+    let mut s = seed | 1;
+    let mut next = || {
+        s = s
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        ((s >> 11) as f64 / (1u64 << 53) as f64) * 4.0 - 2.0
+    };
+    let mut x = T::from_f64(next());
+    let mut d = Decoded::decode(x);
+    for step in 0..32 {
+        let c = T::from_f64(next());
+        let dc = Decoded::decode(c);
+        match step % 4 {
+            0 => {
+                x = x * c + T::one();
+                d = d * dc + Decoded::one();
+            }
+            1 => {
+                x = (x - c).abs().sqrt();
+                d = (d - dc).abs().sqrt();
+            }
+            2 => {
+                x = -(x / c);
+                d = -(d / dc);
+            }
+            _ => {
+                x = x.max(c) - x.min(c) * T::half();
+                d = d.max(dc) - d.min(dc) * Decoded::half();
+            }
+        }
+        assert_same(d, x, &format!("chain step {step}"));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    #[test]
+    fn ops_match_on_random_16(a in any::<u16>(), b in any::<u16>()) {
+        check_pair(F16::from_bits(a), F16::from_bits(b));
+        check_pair(Bf16::from_bits(a), Bf16::from_bits(b));
+        check_pair(Posit16::from_bits(a), Posit16::from_bits(b));
+        check_pair(Posit16Es1::from_bits(a), Posit16Es1::from_bits(b));
+        check_pair(Takum16::from_bits(a), Takum16::from_bits(b));
+        check_unary(Posit16::from_bits(a));
+        check_unary(Takum16::from_bits(b));
+    }
+
+    #[test]
+    fn ops_match_on_random_32(a in any::<u32>(), b in any::<u32>()) {
+        check_pair(Posit32::from_bits(a), Posit32::from_bits(b));
+        check_pair(Takum32::from_bits(a), Takum32::from_bits(b));
+        check_unary(Posit32::from_bits(a));
+        check_unary(Takum32::from_bits(b));
+    }
+
+    #[test]
+    fn ops_match_on_random_64(a in any::<u64>(), b in any::<u64>()) {
+        check_pair(Posit64::from_bits(a), Posit64::from_bits(b));
+        check_pair(Takum64::from_bits(a), Takum64::from_bits(b));
+        check_unary(Posit64::from_bits(a));
+        check_unary(Takum64::from_bits(b));
+    }
+
+    #[test]
+    fn decoded_chains_match(seed in any::<u64>()) {
+        chain::<F16>(seed);
+        chain::<Bf16>(seed);
+        chain::<Posit16>(seed);
+        chain::<Takum16>(seed);
+        chain::<Posit32>(seed);
+        chain::<Takum32>(seed);
+        chain::<Posit64>(seed);
+        chain::<Takum64>(seed);
+    }
+}

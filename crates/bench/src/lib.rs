@@ -45,11 +45,22 @@ pub fn bench_experiment_config() -> ExperimentConfig {
     ExperimentConfig { max_restarts: 80, ..Default::default() }
 }
 
-/// The output directory for CSV artifacts (`out/` at the workspace root).
+/// The output directory for CSV artifacts, resolved when the program runs:
+/// `out/` at the workspace root when cargo launched it (`cargo bench` and
+/// `cargo run` set `CARGO_MANIFEST_DIR` to this crate's directory), else
+/// `out/` under the working directory — a bare binary writes where it
+/// runs, never into the tree it was compiled in.
 pub fn out_dir() -> PathBuf {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../out");
+    let dir = out_dir_for(std::env::var_os("CARGO_MANIFEST_DIR"));
     fs::create_dir_all(&dir).expect("create out dir");
     dir
+}
+
+fn out_dir_for(manifest_dir: Option<std::ffi::OsString>) -> PathBuf {
+    match manifest_dir {
+        Some(dir) if !dir.is_empty() => PathBuf::from(dir).join("../../out"),
+        _ => PathBuf::from("out"),
+    }
 }
 
 /// Print a store's per-kind counters after a harness run; the warm-start
@@ -213,6 +224,21 @@ mod tests {
 
     fn default_settings() -> HarnessSettings {
         PlanOverrides::default().resolve(&HarnessEnv::default())
+    }
+
+    #[test]
+    fn out_dir_is_resolved_at_run_time() {
+        // Launched by cargo: the workspace root's `out/`.
+        assert_eq!(
+            out_dir_for(Some("/ws/crates/bench".into())),
+            PathBuf::from("/ws/crates/bench/../../out")
+        );
+        // A bare binary: `out/` under the working directory.
+        assert_eq!(out_dir_for(None), PathBuf::from("out"));
+        assert_eq!(out_dir_for(Some("".into())), PathBuf::from("out"));
+        // This test itself runs under cargo, with this crate's directory.
+        let expected = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../out");
+        assert_eq!(out_dir(), expected);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! in OFP8, bfloat16, float16, float32/64, posits, takums and the
 //! double-double reference format.
 
-use lpa_arith::{batch, BatchReal, PlaneStore};
+use lpa_arith::{batch, BatchReal, PlaneStore, Real};
 use lpa_dense::blas::{axpy, axpy_planes, dot, dot_planes, normalize, nrm2, scal_planes};
 use lpa_dense::ordschur::reorder_schur;
 use lpa_dense::schur::{block_structure, eigenvalues_of_quasi_triangular, schur};
@@ -21,6 +21,10 @@ use crate::error::ArnoldiError;
 use crate::operator::BatchOperator;
 use crate::options::{ArnoldiOptions, Which};
 use crate::result::{History, PartialSchur};
+
+/// The element type the projected dense phase runs at (see
+/// [`BatchReal::Dense`]).
+type Dense<T> = <T as BatchReal>::Dense;
 
 /// Compute a partial Schur decomposition `A Q ≈ Q R` targeting the part of
 /// the spectrum selected by `opts.which`.
@@ -41,7 +45,19 @@ use crate::result::{History, PartialSchur};
 /// dot/axpy/scale passes run the decoded-domain kernels.  Results are
 /// bit-identical to the scalar engine by the batch engine's contract
 /// (every operation still rounds to the format's grid), which the
-/// `lpa_experiments` end-to-end grid test enforces.
+/// `lpa_experiments` end-to-end grid test enforces.  The knob covers the
+/// expansion only.
+///
+/// ## The projected dense phase
+///
+/// `schur` of the projected matrix and both `reorder_schur` calls run at
+/// the format's dense element type, [`BatchReal::Dense`]:
+/// [`lpa_arith::Decoded<T>`] for the posit and takum formats (`b` and the
+/// spike are decoded once per restart and the Schur factors encoded once,
+/// so the Householder and Givens chains in between never touch a bit
+/// pattern), `T` itself for the IEEE, 8-bit and native formats.  The
+/// choice is made by type, not by a runtime knob; both element types give
+/// identical bits.
 pub fn partial_schur<T: BatchReal, Op: BatchOperator<T> + ?Sized>(
     op: &Op,
     opts: &ArnoldiOptions,
@@ -58,7 +74,7 @@ pub fn partial_schur<T: BatchReal, Op: BatchOperator<T> + ?Sized>(
     }
     let nev = opts.nev;
     let m = opts.resolved_max_dim(n);
-    let tol = T::from_f64(opts.tol);
+    let tol = Dense::<T>::from_f64(opts.tol);
 
     // Krylov basis (m + 1 columns), projected matrix and spike.
     let mut v = DMatrix::<T>::zeros(n, m + 1);
@@ -216,17 +232,22 @@ pub fn partial_schur<T: BatchReal, Op: BatchOperator<T> + ?Sized>(
         }
 
         // --- Projected Schur form --------------------------------------
-        let sch = schur(&b)?;
+        // Everything from here to the basis update runs at the dense
+        // element type: decode `b` and the spike once, encode what leaves
+        // the phase (`Z`'s kept columns, `T`'s kept block, the new spike).
+        let bd = b.map(T::to_dense);
+        let spike_d: Vec<Dense<T>> = spike.iter().map(|&x| x.to_dense()).collect();
+        let sch = schur(&bd)?;
         let mut t = sch.t;
         let mut z = sch.z;
 
         // Transformed spike: residual norms of the Schur vectors.
-        let w_spike = |z: &DMatrix<T>| -> Vec<T> {
+        let w_spike = |z: &DMatrix<Dense<T>>| -> Vec<Dense<T>> {
             (0..m)
                 .map(|i| {
-                    let mut s = T::zero();
+                    let mut s = Dense::<T>::zero();
                     for j in 0..m {
-                        s += spike[j] * z[(j, i)];
+                        s += spike_d[j] * z[(j, i)];
                     }
                     s
                 })
@@ -237,16 +258,16 @@ pub fn partial_schur<T: BatchReal, Op: BatchOperator<T> + ?Sized>(
         // Block structure, eigenvalues and residual estimates.
         let blocks = block_structure(&t);
         let eigs = eigenvalues_of_quasi_triangular(&t);
-        let scale_floor = T::epsilon() * b.frobenius_norm().max(T::one());
+        let scale_floor = Dense::<T>::epsilon() * bd.frobenius_norm().max(Dense::<T>::one());
         struct BlockInfo<T> {
             size: usize,
             modulus: T,
             real: T,
             converged: bool,
         }
-        let mut infos: Vec<BlockInfo<T>> = Vec::with_capacity(blocks.len());
+        let mut infos: Vec<BlockInfo<Dense<T>>> = Vec::with_capacity(blocks.len());
         for &(start, size) in blocks.iter() {
-            let lambda: Complex<T> = eigs[start];
+            let lambda: Complex<Dense<T>> = eigs[start];
             let modulus = lambda.abs();
             let residual = if size == 1 {
                 w[start].abs()
@@ -266,7 +287,7 @@ pub fn partial_schur<T: BatchReal, Op: BatchOperator<T> + ?Sized>(
         let mut order: Vec<usize> = (0..infos.len()).collect();
         order.sort_by(|&a, &bq| {
             let (ia, ib) = (&infos[a], &infos[bq]);
-            let key = |i: &BlockInfo<T>| match opts.which {
+            let key = |i: &BlockInfo<Dense<T>>| match opts.which {
                 Which::LargestMagnitude | Which::SmallestMagnitude => i.modulus,
                 Which::LargestReal | Which::SmallestReal => i.real,
             };
@@ -311,7 +332,7 @@ pub fn partial_schur<T: BatchReal, Op: BatchOperator<T> + ?Sized>(
             // runs in the decoded domain over the basis shadows
             // (bit-identical to the encoded matmul by `gemm_planes`'
             // contract).
-            let zk = z.truncate_columns(rows);
+            let zk = z.truncate_columns(rows).map(T::from_dense);
             let q = if use_batch {
                 let zk_cols: Vec<&[T]> = (0..rows).map(|c| zk.col(c)).collect();
                 let cols = batch::gemm_planes::<T>(n, &v_dec[..m], &zk_cols);
@@ -326,14 +347,15 @@ pub fn partial_schur<T: BatchReal, Op: BatchOperator<T> + ?Sized>(
             let r = t.submatrix(0, 0, rows, rows);
             // Eigenvalues in the order of R's diagonal blocks, so that
             // eigenvalue i corresponds to Schur vector column i.
-            let eigenvalues = eigenvalues_of_quasi_triangular(&r);
-            let residuals: Vec<T> = {
-                let wz = w_spike(&z);
-                wz[..rows].to_vec()
-            };
+            let eigenvalues = eigenvalues_of_quasi_triangular(&r)
+                .into_iter()
+                .map(|c| Complex::new(T::from_dense(c.re), T::from_dense(c.im)))
+                .collect();
+            let r = r.map(T::from_dense);
+            let residuals = w_spike(&z)[..rows].iter().map(|x| x.to_f64()).collect();
             return Ok((
                 PartialSchur { q, r, eigenvalues },
-                History { restarts: restart + 1, matvecs, converged: true, residuals: residuals.iter().map(|x| x.to_f64()).collect() },
+                History { restarts: restart + 1, matvecs, converged: true, residuals },
             ));
         }
 
@@ -350,6 +372,7 @@ pub fn partial_schur<T: BatchReal, Op: BatchOperator<T> + ?Sized>(
         }
         let rows = reorder_schur(&mut t, &mut z, &select)?;
         debug_assert_eq!(rows, keep_rows);
+        let zk = z.truncate_columns(rows).map(T::from_dense);
 
         // New basis: V[:, 0..rows] = V_m Z[:, 0..rows], V[:, rows] = v_{m+1}.
         if use_batch {
@@ -359,7 +382,6 @@ pub fn partial_schur<T: BatchReal, Op: BatchOperator<T> + ?Sized>(
             // column from its encoded side) is gone, the encode below is
             // the only crossing.  Bit-identical to the dense matmul by
             // `gemm_planes`' contract.
-            let zk = z.truncate_columns(rows);
             let zk_cols: Vec<&[T]> = (0..rows).map(|c| zk.col(c)).collect();
             let new_planes = batch::gemm_planes::<T>(n, &v_dec[..m], &zk_cols);
             for (c, p) in new_planes.into_iter().enumerate() {
@@ -372,7 +394,6 @@ pub fn partial_schur<T: BatchReal, Op: BatchOperator<T> + ?Sized>(
             }
         } else {
             let vm = v.truncate_columns(m);
-            let zk = z.truncate_columns(rows);
             let new_basis = vm.matmul(&zk);
             for c in 0..rows {
                 v.col_mut(c).copy_from_slice(new_basis.col(c));
@@ -400,12 +421,12 @@ pub fn partial_schur<T: BatchReal, Op: BatchOperator<T> + ?Sized>(
         let mut new_b = DMatrix::<T>::zeros(m, m);
         for j in 0..rows {
             for i in 0..rows {
-                new_b[(i, j)] = t[(i, j)];
+                new_b[(i, j)] = T::from_dense(t[(i, j)]);
             }
         }
         b = new_b;
         for i in 0..m {
-            spike[i] = if i < rows { wz[i] } else { T::zero() };
+            spike[i] = if i < rows { T::from_dense(wz[i]) } else { T::zero() };
         }
         k = rows;
     }

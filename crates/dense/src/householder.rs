@@ -1,5 +1,7 @@
 //! Householder reflections and QR factorization.
 
+use core::ops::Range;
+
 use lpa_arith::BatchReal;
 
 use crate::blas::{dot, nrm2};
@@ -61,11 +63,16 @@ impl<T: BatchReal> Householder<T> {
 
     /// Apply `P` from the left to the rows `r0..r0+len` of `m`.
     pub fn apply_left(&self, m: &mut DMatrix<T>, r0: usize) {
+        self.apply_left_cols(m, r0, 0..m.ncols());
+    }
+
+    /// [`Self::apply_left`] restricted to the columns `cols`.
+    pub fn apply_left_cols(&self, m: &mut DMatrix<T>, r0: usize, cols: Range<usize>) {
         if self.tau.is_zero() {
             return;
         }
         let len = self.v.len();
-        for j in 0..m.ncols() {
+        for j in cols {
             let mut s = T::zero();
             for k in 0..len {
                 s += self.v[k] * m[(r0 + k, j)];
@@ -79,11 +86,16 @@ impl<T: BatchReal> Householder<T> {
 
     /// Apply `P` from the right to the columns `c0..c0+len` of `m`.
     pub fn apply_right(&self, m: &mut DMatrix<T>, c0: usize) {
+        self.apply_right_rows(m, c0, 0..m.nrows());
+    }
+
+    /// [`Self::apply_right`] restricted to the rows `rows`.
+    pub fn apply_right_rows(&self, m: &mut DMatrix<T>, c0: usize, rows: Range<usize>) {
         if self.tau.is_zero() {
             return;
         }
         let len = self.v.len();
-        for i in 0..m.nrows() {
+        for i in rows {
             let mut s = T::zero();
             for k in 0..len {
                 s += m[(i, c0 + k)] * self.v[k];

@@ -188,6 +188,12 @@ impl<T: Real> DMatrix<T> {
         m
     }
 
+    /// Element-wise exact conversion, e.g. between a format and its
+    /// dense-phase element type (`lpa_arith::BatchReal::to_dense`).
+    pub fn map<U: Real>(&self, f: impl FnMut(T) -> U) -> DMatrix<U> {
+        DMatrix { nrows: self.nrows, ncols: self.ncols, data: self.data.iter().copied().map(f).collect() }
+    }
+
     /// Element-wise conversion to another scalar type through `f64`.
     pub fn convert<U: Real>(&self) -> DMatrix<U> {
         DMatrix {

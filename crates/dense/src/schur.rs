@@ -141,6 +141,7 @@ fn francis_double_step<T: BatchReal>(
     s: T,
     t: T,
 ) {
+    let n = h.ncols();
     // First column of (H - s1 I)(H - s2 I) e1 restricted to the block.
     let h11 = h[(lo, lo)];
     let h12 = h[(lo, lo + 1)];
@@ -157,8 +158,17 @@ fn francis_double_step<T: BatchReal>(
         let col = if last { vec![p, q] } else { vec![p, q, r] };
         let refl = Householder::compute(&col);
         if !refl.tau.is_zero() {
-            refl.apply_left(h, k);
-            refl.apply_right(h, k);
+            // The LAPACK `dlahqr` windows: columns `k..n` from the left,
+            // rows `0..=min(k+3, hi)` from the right (`Z` keeps all its
+            // rows).  Every skipped entry lies below the subdiagonal or on
+            // a deflated subdiagonal, where `hessenberg` and this step
+            // have stored `+0`; with a finite reflector the full update
+            // would only compute `+0 - (±0)·v = +0` there.  (A non-finite
+            // reflector poisons every later reflector of the sweep and
+            // `h[(hi, hi)]` either way, so the iteration stops with an
+            // error before any skipped entry is read.)
+            refl.apply_left_cols(h, k, k..n);
+            refl.apply_right_rows(h, k, 0..(k + 4).min(hi + 1));
             refl.apply_right(z, k);
         }
         // Restore the Hessenberg zeros introduced by the explicit bulge.

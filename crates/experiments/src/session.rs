@@ -813,20 +813,25 @@ impl Session<'_> {
         // Span aggregates: count/total deltas over the pre-run snapshot
         // (exact even when other spans ran earlier in the process); max_ns
         // is the running maximum. Names untouched by this run are skipped.
+        // A `span::reset()` during the run makes an aggregate fall below
+        // its snapshot; then only the post-reset total is this run's.
         let before: BTreeMap<&str, (u64, u64)> =
             spans_before.iter().map(|a| (a.name, (a.count, a.total_ns))).collect();
         let spans: Vec<Value> = lpa_obs::span::aggregates()
             .iter()
             .filter_map(|a| {
                 let (base_count, base_total) = before.get(a.name).copied().unwrap_or((0, 0));
-                let count = a.count - base_count;
+                let (count, total_ns) = match a.count.checked_sub(base_count) {
+                    Some(count) => (count, a.total_ns.saturating_sub(base_total)),
+                    None => (a.count, a.total_ns),
+                };
                 if count == 0 {
                     return None;
                 }
                 Some(Value::Map(vec![
                     ("name".to_string(), Value::Str(a.name.to_string())),
                     ("count".to_string(), Value::Num(count as f64)),
-                    ("total_ns".to_string(), Value::Num((a.total_ns - base_total) as f64)),
+                    ("total_ns".to_string(), Value::Num(total_ns as f64)),
                     ("max_ns".to_string(), Value::Num(a.max_ns as f64)),
                 ]))
             })

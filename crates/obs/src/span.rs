@@ -81,7 +81,8 @@ struct SpanLive {
     start: Instant,
 }
 
-/// RAII span guard; records its duration on drop when armed at creation.
+/// RAII span guard; records its duration on drop when armed both at
+/// creation and at drop.
 /// Inert (a `None`) when the gate was disarmed — the drop is free.
 #[must_use = "a span records on drop; binding it to `_` drops it immediately"]
 pub struct Span(Option<SpanLive>);
@@ -98,8 +99,13 @@ pub fn span(name: &'static str) -> Span {
 
 impl Drop for Span {
     fn drop(&mut self) {
+        // Record only if the gate is still armed: a span that straddles a
+        // disarm belongs to neither window, and recording it would leak
+        // into whatever runs after the disarm.
         if let Some(live) = self.0.take() {
-            record(live.name, live.start.elapsed().as_nanos() as u64);
+            if crate::enabled() {
+                record(live.name, live.start.elapsed().as_nanos() as u64);
+            }
         }
     }
 }

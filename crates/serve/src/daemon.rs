@@ -84,6 +84,9 @@ struct RunJob {
     /// reader alive through a shutdown until its results went out).
     outstanding: Arc<AtomicUsize>,
     enqueued: Instant,
+    /// Signalled by the reader once it has queued this job's `accepted`
+    /// line, so no `progress` line can overtake it.
+    admitted: Receiver<()>,
 }
 
 enum Job {
@@ -368,6 +371,7 @@ fn handle_line(
                 return;
             }
             outstanding.fetch_add(1, Ordering::SeqCst);
+            let (admit_tx, admitted) = mpsc::channel();
             let job = Job::Run(Box::new(RunJob {
                 id: id.clone(),
                 request: run,
@@ -375,6 +379,7 @@ fn handle_line(
                 conn_alive: conn_alive.clone(),
                 outstanding: outstanding.clone(),
                 enqueued: Instant::now(),
+                admitted,
             }));
             // Count the slot *before* the send: a worker can dequeue the
             // job (and `depth_dec`) the instant it lands, so counting
@@ -383,6 +388,9 @@ fn handle_line(
             match shared.queue.try_send(job) {
                 Ok(()) => {
                     let _ = writer.send(WriterMsg::Line(protocol::accepted_line(&id)));
+                    // A worker may already hold the job; release it only
+                    // now, so `accepted` is its connection's first line.
+                    let _ = admit_tx.send(());
                 }
                 Err(TrySendError::Full(_)) => {
                     shared.depth_dec();
@@ -452,6 +460,9 @@ fn worker_loop(shared: &Arc<Shared>, receiver: &Arc<Mutex<Receiver<Job>>>) {
             Err(_) | Ok(Job::Pill) => break,
             Ok(Job::Run(job)) => {
                 shared.depth_dec();
+                // Wait for the reader to queue `accepted` (an error only
+                // means the reader is gone, and then order is moot).
+                let _ = job.admitted.recv();
                 let permit = shared.limiter.acquire();
                 run_one(shared, &job);
                 // Explicit, though unwind-safe either way: the permit

@@ -282,7 +282,6 @@ pub struct Store {
     root: PathBuf,
     cache: ShardedCache,
     stats: StoreStats,
-    tmp_counter: AtomicU64,
     io_retries: AtomicU32,
     /// Serialized numerics table stamped into every frame this handle
     /// writes ([`lpa_numerics::NumericsConfig::to_bytes`] of the effective
@@ -290,7 +289,24 @@ pub struct Store {
     numerics: std::sync::Mutex<Arc<Vec<u8>>>,
 }
 
+/// Sequence number of this process's tmp files.  Process-wide, not per
+/// handle: two handles on one directory in one process would otherwise
+/// hand the same `<key>.<pid>.<n>` name to concurrent writers of one key,
+/// and one of their renames would find its tmp file already gone.
+static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
+
 impl Store {
+    /// A fresh tmp path for a write of `key`, unique per (process, write)
+    /// so concurrent writers never share a tmp file; the rename is atomic.
+    fn tmp_path(&self, key: Key) -> PathBuf {
+        self.root.join(".tmp").join(format!(
+            "{}.{}.{}.tmp",
+            key.to_hex(),
+            std::process::id(),
+            TMP_SEQ.fetch_add(1, Ordering::Relaxed),
+        ))
+    }
+
     /// Open (creating if needed) the store rooted at `root`.
     pub fn open(root: impl Into<PathBuf>) -> io::Result<Store> {
         let root = root.into();
@@ -299,7 +315,6 @@ impl Store {
             root,
             cache: ShardedCache::new(),
             stats: StoreStats::default(),
-            tmp_counter: AtomicU64::new(0),
             io_retries: AtomicU32::new(DEFAULT_IO_RETRIES),
             numerics: std::sync::Mutex::new(Arc::new(
                 lpa_numerics::NumericsConfig::current().to_bytes(),
@@ -451,14 +466,7 @@ impl Store {
         }
         let final_path = self.path_of(key);
         std::fs::create_dir_all(final_path.parent().expect("artifact path has a shard parent"))?;
-        // Unique tmp name per (process, write) so concurrent writers of the
-        // same key never share a tmp file; the rename is atomic.
-        let tmp = self.root.join(".tmp").join(format!(
-            "{}.{}.{}.tmp",
-            key.to_hex(),
-            std::process::id(),
-            self.tmp_counter.fetch_add(1, Ordering::Relaxed),
-        ));
+        let tmp = self.tmp_path(key);
         self.with_io_retries(|| {
             if lpa_faults::fired(lpa_faults::STORE_IO_TRANSIENT) {
                 return Err(io::Error::new(
@@ -666,6 +674,22 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    #[test]
+    fn two_handles_on_one_directory_get_distinct_tmp_paths_for_one_key() {
+        let dir = scratch_dir("tmp-names");
+        let (a, b) = (Store::open(&dir).unwrap(), Store::open(&dir).unwrap());
+        let key = hash128(b"shared-key");
+        // Interleaved like two racing writers of the same key.
+        let paths = [a.tmp_path(key), b.tmp_path(key), a.tmp_path(key), b.tmp_path(key)];
+        for (i, p) in paths.iter().enumerate() {
+            assert!(p.starts_with(dir.join(".tmp")), "{p:?}");
+            for q in &paths[i + 1..] {
+                assert_ne!(p, q, "two writes of one key share a tmp file");
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
