@@ -2,45 +2,59 @@
 //! ([`Unpacked`]) form, implementing [`Real`] itself.
 //!
 //! Every op of an emulated format pays decode → kernel → round → encode.
-//! Inside a long chain of ops on a small working set — the projected dense
-//! Schur phase of the Krylov–Schur restart is thousands of Householder and
-//! Givens updates on a 25×25 matrix — the decode and encode halves are pure
-//! overhead.  `Decoded<T>` drops them: each op is the shared soft-float
-//! kernel followed by `T`'s value-level rounder
-//! ([`UnpackedReal::round_value`], i.e. `decode(encode(u))` without the bit
-//! pattern), so a chain of ops never touches the storage word.  Generic
-//! code (`lpa_dense::schur` and friends) simply runs at `Decoded<T>`
-//! instead of `T`; its bodies are not duplicated.
+//! Inside a long chain of ops on a working set that is re-read many times —
+//! a whole Krylov–Schur solve: the SpMV over matrix values that never
+//! change, Gram–Schmidt over the basis columns, thousands of Householder
+//! and Givens updates in the projected Schur phase — the decode and encode
+//! halves are pure overhead.  `Decoded<T>` drops them: add, sub and mul are
+//! the fused combine-and-round of the `fused` module for the posit and takum
+//! formats, and every other op is the shared soft-float kernel followed by
+//! `T`'s value-level rounder ([`UnpackedReal::round_value`], i.e.
+//! `decode(encode(u))` without the bit pattern), so a chain of ops never
+//! touches the storage word.  Generic code (`lpa_arnoldi::partial_schur`,
+//! `lpa_dense::schur` and friends) simply runs at `Decoded<T>` instead of
+//! `T`; its bodies are not duplicated.
 //!
-//! **Bit-identical to `T`** op for op: `T::undec(op(dec(a), dec(b)))` equals
-//! `op(a, b)` bit for bit, comparisons and classification agree, and
-//! `to_f64` is the same value.  `tests/decoded_conformance.rs` checks every
-//! op against `T`'s scalar op over the boundary corpora and random pairs.
+//! **Bit-identical to `T`** op for op: `encode(op(decode(a), decode(b)))`
+//! equals `op(a, b)` bit for bit, comparisons and classification agree,
+//! and `to_f64` is the same value.  `tests/decoded_conformance.rs` checks
+//! every op against `T`'s scalar op over the boundary corpora and random
+//! pairs.
 //!
-//! Which formats actually run their dense phase decoded is a per-type
-//! choice, [`BatchReal::Dense`]: the posit and takum formats do, the IEEE
-//! 16-bit formats do not (their rounder is a full encode + decode, so the
-//! decoded form measured slower), and formats whose ops are a table load or
-//! an instruction have nothing to gain.
+//! The experiment pipeline runs every emulated 16/32/64-bit format at
+//! `Decoded<T>` end to end; formats whose ops are a table load or an
+//! instruction (the 8-bit formats, `f32`/`f64`, `Dd`) run at their own
+//! type.
 
 use core::cmp::Ordering;
 use core::fmt;
 use core::marker::PhantomData;
 use core::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
-use crate::batch::BatchReal;
+use crate::fused;
 use crate::ieee::pack_f64;
 use crate::real::Real;
+use crate::round::RoundPlan;
 use crate::softfloat;
 use crate::unpacked::Unpacked;
 
-/// A format whose decoded operand form is [`Unpacked`], together with its
-/// value-level rounder — the one hook [`Decoded`] and the format's own
-/// decoded-domain kernels ([`BatchReal::dec_add`] & co.) need.
-pub trait UnpackedReal: BatchReal<Dec = Unpacked> {
+/// A format whose decoded form is [`Unpacked`]: the codec bridge and the
+/// rounding hooks [`Decoded`] runs on.
+pub trait UnpackedReal: Real {
+    /// Which fused combine-and-round [`Decoded`]'s add/sub/mul use
+    /// (`Generic`: kernel + [`Self::round_value`]).
+    const ROUND: RoundPlan;
+
+    /// The canonical decoded form of this value.
+    fn decode(self) -> Unpacked;
+
+    /// Encode a canonical decoded value back to its bit pattern.  Exact:
+    /// decoded values are always on the format's grid.
+    fn encode(u: Unpacked) -> Self;
+
     /// Round an unrounded kernel result onto this format's grid, returning
     /// the canonical decoded form of the rounded value: exactly
-    /// `decode(encode(u))` (see [`crate::batch::round`]).
+    /// `decode(encode(u))` (see [`crate::round`]).
     fn round_value(u: &Unpacked) -> Unpacked;
 }
 
@@ -53,7 +67,7 @@ pub struct Decoded<T> {
 
 impl<T: UnpackedReal> Decoded<T> {
     /// Wrap an already-decoded value (it must be canonical, i.e. what
-    /// `T::dec` or `T::round_value` returns).
+    /// `T::decode` or `T::round_value` returns).
     #[inline]
     pub fn from_dec(u: Unpacked) -> Self {
         Decoded {
@@ -71,13 +85,13 @@ impl<T: UnpackedReal> Decoded<T> {
     /// Decode a stored value.
     #[inline]
     pub fn decode(x: T) -> Self {
-        Self::from_dec(x.dec())
+        Self::from_dec(x.decode())
     }
 
     /// Encode back to `T` (exact: decoded values are on `T`'s grid).
     #[inline]
     pub fn encode(self) -> T {
-        T::undec(self.u)
+        T::encode(self.u)
     }
 
     #[inline]
@@ -87,16 +101,18 @@ impl<T: UnpackedReal> Decoded<T> {
 }
 
 macro_rules! decoded_ops {
-    ($($op_trait:ident $op_fn:ident $kernel:ident $assign_trait:ident $assign_fn:ident;)*) => {$(
+    ($(#[$inline:meta] $op_trait:ident $op_fn:ident $assign_trait:ident $assign_fn:ident =>
+       |$a:ident, $b:ident| $body:expr;)*) => {$(
         impl<T: UnpackedReal> $op_trait for Decoded<T> {
             type Output = Self;
-            #[inline]
+            #[$inline]
             fn $op_fn(self, o: Self) -> Self {
-                Self::rounded(&softfloat::$kernel(&self.u, &o.u))
+                let ($a, $b) = (self.u, o.u);
+                Self::from_dec($body)
             }
         }
         impl<T: UnpackedReal> $assign_trait for Decoded<T> {
-            #[inline]
+            #[$inline]
             fn $assign_fn(&mut self, o: Self) {
                 *self = $op_trait::$op_fn(*self, o);
             }
@@ -104,11 +120,14 @@ macro_rules! decoded_ops {
     )*};
 }
 
+// add/sub/mul are forced inline: a solve's inner loops (SpMV rows, dots,
+// reflector updates) are chains of them, and an outlined call would pass
+// every operand through memory.
 decoded_ops! {
-    Add add add AddAssign add_assign;
-    Sub sub sub SubAssign sub_assign;
-    Mul mul mul MulAssign mul_assign;
-    Div div div DivAssign div_assign;
+    #[inline(always)] Add add AddAssign add_assign => |a, b| fused::add::<T>(a, b);
+    #[inline(always)] Sub sub SubAssign sub_assign => |a, b| fused::sub::<T>(a, b);
+    #[inline(always)] Mul mul MulAssign mul_assign => |a, b| fused::mul::<T>(a, b);
+    #[inline] Div div DivAssign div_assign => |a, b| T::round_value(&softfloat::div(&a, &b));
 }
 
 impl<T: UnpackedReal> Neg for Decoded<T> {
@@ -204,8 +223,31 @@ impl<T: UnpackedReal> Real for Decoded<T> {
     }
 }
 
-/// `Decoded<T>` is already decoded: its operand form is itself, and its
-/// dense phase runs at itself.
-impl<T: UnpackedReal> BatchReal for Decoded<T> {
-    crate::batch::self_batch_items!(Self);
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::types::{Bf16, Posit16, Posit32, Takum32};
+
+    #[test]
+    fn decoded_chain_matches_scalar_chain() {
+        // A mul-add chain kept decoded, encoded once at the end, must
+        // reproduce the scalar operator chain bit for bit.
+        fn check<T: UnpackedReal>(values: &[f64]) {
+            let mut acc = T::one();
+            let mut acc_dec = Decoded::<T>::one();
+            for &v in values {
+                let x = T::from_f64(v);
+                acc = acc * x + T::from_f64(0.5);
+                acc_dec = acc_dec * Decoded::decode(x) + Decoded::from_f64(0.5);
+            }
+            assert_eq!(acc_dec.encode().to_f64(), acc.to_f64(), "{}", T::NAME);
+        }
+        let vals: Vec<f64> = (0..64)
+            .map(|i| (0.55 + (i % 13) as f64 * 0.075) * if i % 2 == 0 { 1.0 } else { -1.0 })
+            .collect();
+        check::<Posit16>(&vals);
+        check::<Posit32>(&vals);
+        check::<Takum32>(&vals);
+        check::<Bf16>(&vals);
+    }
 }

@@ -33,32 +33,26 @@
 //! assert_eq!(hypot(Bf16::from_f64(3.0), Bf16::from_f64(4.0)).to_f64(), 5.0);
 //! ```
 
-pub mod batch;
 pub mod dd;
 pub mod decoded;
+mod fused;
 pub mod ieee;
 pub mod info;
 pub mod lut;
 pub mod numerics_versions;
 pub mod posit;
 pub mod real;
+pub mod round;
 pub mod softfloat;
 pub mod takum;
 pub mod tapered;
-pub mod tier;
 pub mod types;
 pub mod unpacked;
 
-pub use batch::{
-    env_kernel_batch, env_kernel_lanes, force_kernel_batch, force_kernel_lanes, kernel_batch,
-    kernel_batch_enabled, kernel_lanes, BatchReal, DecodedPlanes, DecodedSlice, KernelBatch,
-    KernelLanes, PlaneStore, UnpackedPlanes,
-};
 pub use dd::Dd;
 pub use decoded::{Decoded, UnpackedReal};
 pub use info::FormatInfo;
 pub use real::Real;
-pub use tier::{dec16_tier, env_dec16_tier, force_dec16_tier, Dec16Tier};
 pub use types::{
     Bf16, E4M3, E5M2, F16, Posit16, Posit16Es1, Posit32, Posit64, Posit8, Posit8Es0, Takum16,
     Takum32, Takum64, Takum8,

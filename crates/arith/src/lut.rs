@@ -19,8 +19,7 @@
 //! results for the unary ops — so binary ops skip both operand decodes and
 //! only pay the soft-float core for the combine/round/encode step, and
 //! unary ops (`neg`/`abs`/`sqrt`/`recip`) become a single indexed load.
-//! `LPA_ARITH_TIER` (see [`crate::tier`]) can force the 16-bit formats back
-//! onto the reference path.
+//! The reference path stays callable as the formats' `softfloat_*` methods.
 //!
 //! Backend tiers after this module (see README):
 //!

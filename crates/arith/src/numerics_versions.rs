@@ -14,8 +14,8 @@ pub const SOFTFLOAT_KERNEL: u32 = 1;
 /// The unpack-once 16-bit decode tables (`unpacked` module, Lut16 tier).
 pub const DEC16_TABLES: u32 = 1;
 
-/// The decoded-operand batch kernel engine's value-level rounder
-/// (`batch` module).
+/// The value-level and fused rounders every `Decoded<T>` op rounds
+/// through (`round` and `fused` modules).
 pub const BATCH_ROUND: u32 = 1;
 
 /// The 8-bit full-result lookup tables (`lut` module).

@@ -5,11 +5,11 @@
 //! the backend macros can route by codec ident.
 //!
 //! [`RoundPlan`] is the same routing made *data*: an associated constant on
-//! [`super::BatchReal`] that tells the struct-of-arrays kernels
-//! ([`super::planes`]) which codec family rounds this format, so they can
-//! monomorphize a fused combine-and-round over the 128-bit kernel frame
-//! (bit-identical to kernel-then-round, see the proof sketch in
-//! `planes.rs`) instead of materializing an intermediate [`Unpacked`].
+//! [`crate::UnpackedReal`] that tells [`crate::Decoded`]'s add/sub/mul
+//! which codec family rounds this format, so they can monomorphize a fused
+//! combine-and-round over the kernel result (the `fused` module,
+//! bit-identical to kernel-then-round) instead of materializing an
+//! intermediate [`Unpacked`].
 
 use crate::ieee::IeeeSpec;
 use crate::posit::PositSpec;
@@ -17,12 +17,12 @@ use crate::takum::TakumSpec;
 use crate::unpacked::{round_at, Class, Unpacked};
 
 /// How a format's decoded-domain results are rounded, as data — consumed by
-/// the planes kernels to pick a fused frame-rounding fast path.
+/// the `fused` module to pick a fused combine-and-round fast path.
 #[derive(Clone, Copy, Debug)]
 pub enum RoundPlan {
-    /// No fused path: round through the format's own `dec_add`/`dec_mul`
-    /// (IEEE-rounded formats, whose reference composition is already
-    /// branch-and-shift, and every `Dec = Self` format).
+    /// No fused path: the kernel result goes through the format's
+    /// value-level rounder (the IEEE-rounded formats, whose reference
+    /// composition is already branch-and-shift).
     Generic,
     /// Posit tapered rounding against this spec.
     Posit(&'static PositSpec),

@@ -13,8 +13,7 @@
 //!   only pay the soft-float core for rounding/encode, unary ops
 //!   (`neg`/`abs`/`sqrt`/`recip`) are a single indexed load, and a
 //!   64 Ki-entry decode table ([`crate::lut::Decode16`]) serves `to_f64`,
-//!   comparisons and zero/NaN classification.  `LPA_ARITH_TIER` (see
-//!   [`crate::tier`]) can force the reference path.
+//!   comparisons and zero/NaN classification.
 //! * **32/64-bit formats** use the soft-float kernel directly; their
 //!   significands do not fit in `f64`, so correctly rounded emulation needs
 //!   the wide integer path.
@@ -27,7 +26,6 @@
 use core::cmp::Ordering;
 use core::fmt;
 
-use crate::decoded::Decoded;
 use crate::ieee::{self, pack_f64, unpack_f64};
 use crate::posit;
 use crate::real::Real;
@@ -172,8 +170,8 @@ macro_rules! format_shell {
     };
 }
 
-/// The five arithmetic operator impls delegating to the soft-float
-/// reference path, shared by [`soft_backend!`] and [`dec16_backend!`].
+/// The five arithmetic operator impls of [`soft_backend!`], delegating to
+/// the soft-float reference path.
 macro_rules! softfloat_ops {
     ($name:ident) => {
         impl core::ops::Add for $name {
@@ -248,88 +246,31 @@ macro_rules! real_storage_core {
     };
 }
 
-/// The [`crate::batch::BatchReal`] implementation shared by every format
-/// whose pre-decoded operand form is the [`Unpacked`] representation (the
-/// 16-bit and the soft-float 32/64-bit backends), plus its one rounding
-/// hook, [`crate::decoded::UnpackedReal`]: the codec's value-level rounder
-/// (`crate::batch::round::$codec`).  The decoded-domain ops are
-/// [`crate::Decoded`]'s — the shared kernel on the cached operands, then
-/// that rounder — skipping both operand decodes and the bit-pattern round
-/// trip, bit-identical to the scalar operators by the rounder's contract
-/// (verified in `tests/batch_differential.rs` and
-/// `tests/decoded_conformance.rs`).
-macro_rules! unpacked_batch {
+/// The [`crate::UnpackedReal`] implementation shared by every format whose
+/// decoded form is the [`Unpacked`] representation (the 16-bit and the
+/// soft-float 32/64-bit backends): the codec bridge, the codec's
+/// value-level rounder (`crate::round::$codec`) and its fused-round plan,
+/// which is everything [`crate::Decoded`] needs to run this format's ops
+/// without the bit-pattern round trip (verified in
+/// `tests/batch_differential.rs` and `tests/decoded_conformance.rs`).
+macro_rules! unpacked_real {
     ($name:ident, $codec:ident, $spec:expr, $dec:expr) => {
         impl crate::decoded::UnpackedReal for $name {
-            #[inline]
-            fn round_value(u: &Unpacked) -> Unpacked {
-                crate::batch::round::$codec(u, &$spec)
-            }
-        }
-
-        impl crate::batch::BatchReal for $name {
-            type Dec = Unpacked;
-            type Planes = crate::batch::planes::UnpackedPlanes;
-            const DECODED: bool = true;
-            const ROUND: crate::batch::round::RoundPlan =
-                crate::batch::round::plan::$codec(&$spec);
-            dense_phase!($codec, $name);
+            const ROUND: crate::round::RoundPlan = crate::round::plan::$codec(&$spec);
 
             #[inline]
-            fn dec(self) -> Unpacked {
+            fn decode(self) -> Unpacked {
                 let decode: fn($name) -> Unpacked = $dec;
                 decode(self)
             }
             #[inline]
-            fn undec(d: Unpacked) -> Self {
-                Self::pack(&d)
+            fn encode(u: Unpacked) -> Self {
+                Self::pack(&u)
             }
             #[inline]
-            fn dec_add(a: Unpacked, b: Unpacked) -> Unpacked {
-                (Decoded::<$name>::from_dec(a) + Decoded::from_dec(b)).into_dec()
+            fn round_value(u: &Unpacked) -> Unpacked {
+                crate::round::$codec(u, &$spec)
             }
-            #[inline]
-            fn dec_mul(a: Unpacked, b: Unpacked) -> Unpacked {
-                (Decoded::<$name>::from_dec(a) * Decoded::from_dec(b)).into_dec()
-            }
-            #[inline]
-            fn dec_neg(a: Unpacked) -> Unpacked {
-                (-Decoded::<$name>::from_dec(a)).into_dec()
-            }
-            #[inline]
-            fn dec_is_zero(a: Unpacked) -> bool {
-                a.is_zero()
-            }
-        }
-    };
-}
-
-/// The dense-phase element type per codec family (see
-/// [`crate::batch::BatchReal::Dense`]).  The IEEE formats stay on their own
-/// type: their rounder is a full encode + decode, so a decoded Schur phase
-/// measured 8–14% slower for float16/bfloat16.  Posits and takums round
-/// at value level and run the phase decoded.
-macro_rules! dense_phase {
-    (ieee, $name:ident) => {
-        type Dense = $name;
-        #[inline(always)]
-        fn to_dense(self) -> $name {
-            self
-        }
-        #[inline(always)]
-        fn from_dense(d: $name) -> $name {
-            d
-        }
-    };
-    ($codec:ident, $name:ident) => {
-        type Dense = Decoded<$name>;
-        #[inline]
-        fn to_dense(self) -> Decoded<$name> {
-            Decoded::decode(self)
-        }
-        #[inline]
-        fn from_dense(d: Decoded<$name>) -> $name {
-            d.encode()
         }
     };
 }
@@ -340,7 +281,7 @@ macro_rules! soft_backend {
     ($name:ident, $storage:ty, $fmtname:expr, $bits:expr, $max_pat:expr, $min_pat:expr,
      $codec:ident, $spec:expr) => {
         softfloat_ops!($name);
-        unpacked_batch!($name, $codec, $spec, |x: $name| x.unpack());
+        unpacked_real!($name, $codec, $spec, |x: $name| x.unpack());
 
         impl PartialEq for $name {
             #[inline]
@@ -513,20 +454,14 @@ macro_rules! lut8_backend {
 /// come pre-decoded from the [`crate::lut::Lut16`] table (exactly what the
 /// codec's `decode` returns, so the result is bit-identical to the
 /// reference path), and only the kernel combine + round/encode still runs.
-/// `LPA_ARITH_TIER` / [`crate::tier::force_dec16_tier`] fall back to the
-/// full reference path.
 macro_rules! dec16_binop {
-    ($name:ident, $op_trait:ident, $op_fn:ident, $kernel:ident, $reference:ident) => {
+    ($name:ident, $op_trait:ident, $op_fn:ident, $kernel:ident) => {
         impl core::ops::$op_trait for $name {
             type Output = Self;
             #[inline]
             fn $op_fn(self, o: Self) -> Self {
-                if crate::tier::dec16_unpack_enabled() {
-                    let lut = Self::lut16();
-                    Self::pack(&softfloat::$kernel(lut.unpack(self.0), lut.unpack(o.0)))
-                } else {
-                    self.$reference(o)
-                }
+                let lut = Self::lut16();
+                Self::pack(&softfloat::$kernel(lut.unpack(self.0), lut.unpack(o.0)))
             }
         }
     };
@@ -538,8 +473,7 @@ macro_rules! dec16_binop {
 /// single indexed load from full result tables, and `to_f64`, comparisons
 /// and classification skip the unpack via the `f64` decode table (every
 /// 16-bit value is exact in `f64`).  Bit-identical to the soft-float
-/// reference path by construction; [`crate::tier`] can force the reference
-/// path at runtime.
+/// reference path (`softfloat_*`) by construction.
 macro_rules! dec16_backend {
     ($name:ident, $fmtname:expr, $max_pat:expr, $min_pat:expr, $codec:ident, $spec:expr) => {
         impl $name {
@@ -563,22 +497,17 @@ macro_rules! dec16_backend {
             }
         }
 
-        dec16_binop!($name, Add, add, add, softfloat_add);
-        dec16_binop!($name, Sub, sub, sub, softfloat_sub);
-        dec16_binop!($name, Mul, mul, mul, softfloat_mul);
-        dec16_binop!($name, Div, div, div, softfloat_div);
-        // Pre-decoding reads the unpack-once table: a 16-bit shadow fill is
-        // one indexed load per element.
-        unpacked_batch!($name, $codec, $spec, |x: $name| *Self::lut16().unpack(x.0));
+        dec16_binop!($name, Add, add, add);
+        dec16_binop!($name, Sub, sub, sub);
+        dec16_binop!($name, Mul, mul, mul);
+        dec16_binop!($name, Div, div, div);
+        // Decoding reads the unpack-once table: one indexed load.
+        unpacked_real!($name, $codec, $spec, |x: $name| *Self::lut16().unpack(x.0));
         impl core::ops::Neg for $name {
             type Output = Self;
             #[inline]
             fn neg(self) -> Self {
-                if crate::tier::dec16_unpack_enabled() {
-                    $name(Self::lut16().neg(self.0))
-                } else {
-                    self.softfloat_neg()
-                }
+                $name(Self::lut16().neg(self.0))
             }
         }
 
@@ -594,29 +523,17 @@ macro_rules! dec16_backend {
             }
             #[inline]
             fn abs(self) -> Self {
-                if crate::tier::dec16_unpack_enabled() {
-                    $name(Self::lut16().abs(self.0))
-                } else {
-                    self.softfloat_abs()
-                }
+                $name(Self::lut16().abs(self.0))
             }
             #[inline]
             fn sqrt(self) -> Self {
-                if crate::tier::dec16_unpack_enabled() {
-                    $name(Self::lut16().sqrt(self.0))
-                } else {
-                    self.softfloat_sqrt()
-                }
+                $name(Self::lut16().sqrt(self.0))
             }
             #[inline]
             fn recip(self) -> Self {
                 // Table built as `one / x` through the kernel, matching the
-                // `Real::recip` default exactly (as does the fallback).
-                if crate::tier::dec16_unpack_enabled() {
-                    $name(Self::lut16().recip(self.0))
-                } else {
-                    Self::one() / self
-                }
+                // `Real::recip` default exactly.
+                $name(Self::lut16().recip(self.0))
             }
         }
     };

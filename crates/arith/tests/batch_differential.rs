@@ -1,31 +1,30 @@
-//! Differential conformance suite for the batch kernel engine
-//! (`lpa_arith::batch`).
+//! Conformance suite for the value-level rounders (`lpa_arith::round`,
+//! the `batch_round` numerics feature).
 //!
-//! The engine's correctness rests on one contract: the value-level rounder
-//! `batch::round::{posit, takum, ieee}` must equal `decode(encode(u))` for
-//! *every* unrounded kernel output, because then a chain of decoded ops
-//! (kernel + round, no bit-pattern round trip) is inductively bit-identical
-//! to the scalar operator chain.  This suite attacks the contract three
-//! ways:
+//! `Decoded<T>`'s correctness rests on one contract: the rounder
+//! `round::{posit, takum, ieee}` must equal `decode(encode(u))` for *every*
+//! unrounded kernel output, because then a chain of decoded ops (kernel +
+//! round, no bit-pattern round trip) is inductively bit-identical to the
+//! scalar operator chain.  This suite attacks the contract two ways:
 //!
 //! 1. **Direct rounder sweeps** — exhaustive over the exponent range
 //!    (saturation margins included) × significand corpus × sticky × sign
 //!    for every posit/takum width, comparing the rounder against the
 //!    literal reference composition.
-//! 2. **Operator differentials** — `dec_add`/`dec_mul`/`dec_neg` against
-//!    the scalar operators over the PR-3 style boundary corpora (16-bit
-//!    and a 32-bit analog) and proptest-random operands, for all 16- and
-//!    32-bit formats.
-//! 3. **Bulk-kernel differentials** — `dot_decoded`/`axpy_decoded`/
-//!    `scale_decoded` and the slice-dispatch entry points against the
-//!    plain scalar loops.
+//! 2. **Kernel-output sweeps** — the soft-float kernel's add/mul/neg
+//!    results on the boundary corpora (16-bit and a 32-bit analog),
+//!    random operands and random mul-add chains, rounded by
+//!    `UnpackedReal::round_value` (the path `Decoded`'s div, sqrt, the
+//!    IEEE formats and NaN operands take), against the scalar operators.
+//!
+//! `tests/decoded_conformance.rs` checks `Decoded<T>`'s own ops, the fused
+//! add/sub/mul included, against `T`.
 
 mod common;
 
 use common::{boundary_corpus_16, boundary_corpus_32, same_unpacked};
-use lpa_arith::batch::{self, round, BatchReal, DecodedPlanes, DecodedSlice, KernelLanes};
 use lpa_arith::unpacked::{Class, Unpacked};
-use lpa_arith::{posit, takum, types::*, PlaneStore, Real};
+use lpa_arith::{posit, round, softfloat, takum, types::*, UnpackedReal};
 use proptest::prelude::*;
 
 /// Significand corpus: normalized patterns exercising exact values, every
@@ -137,55 +136,47 @@ fn takum_rounder_matches_reference_composition() {
     sweep_takum(&takum::TAKUM64);
 }
 
-/// Per-format operator differential: the decoded-domain ops, encoded back,
-/// must reproduce the scalar operators bit for bit.
-macro_rules! op_differential {
-    ($check:ident, $t:ty, $bits:ty) => {
-        fn $check(a: $bits, b: $bits) {
-            let x = <$t>::from_bits(a);
-            let y = <$t>::from_bits(b);
-            let (dx, dy) = (x.dec(), y.dec());
-            assert_eq!(
-                <$t>::undec(<$t>::dec_add(dx, dy)).to_bits(),
-                (x + y).to_bits(),
-                "{a:#x} + {b:#x} in {}",
-                <$t>::NAME
-            );
-            assert_eq!(
-                <$t>::undec(<$t>::dec_mul(dx, dy)).to_bits(),
-                (x * y).to_bits(),
-                "{a:#x} * {b:#x} in {}",
-                <$t>::NAME
-            );
-            assert_eq!(
-                <$t>::undec(<$t>::dec_neg(dx)).to_bits(),
-                (-x).to_bits(),
-                "-{a:#x} in {}",
-                <$t>::NAME
-            );
-            // Round-trip of the canonical decoded forms.
-            if !x.is_nan() {
-                assert_eq!(<$t>::undec(dx).to_bits(), x.to_bits(), "{}", <$t>::NAME);
-            }
-            assert_eq!(<$t>::dec_is_zero(dx), x.is_zero(), "{}", <$t>::NAME);
-        }
-    };
+/// Kernel + `round_value` on the decoded operands of `x` and `y`.
+fn kernel_round<T: UnpackedReal>(
+    kernel: fn(&Unpacked, &Unpacked) -> Unpacked,
+    x: T,
+    y: T,
+) -> T {
+    T::encode(T::round_value(&kernel(&x.decode(), &y.decode())))
 }
 
-op_differential!(diff_f16, F16, u16);
-op_differential!(diff_bf16, Bf16, u16);
-op_differential!(diff_posit16, Posit16, u16);
-op_differential!(diff_posit16_es1, Posit16Es1, u16);
-op_differential!(diff_takum16, Takum16, u16);
-op_differential!(diff_posit32, Posit32, u32);
-op_differential!(diff_takum32, Takum32, u32);
+/// Per-format kernel-output differential: the kernel results rounded at
+/// value level, encoded back, must reproduce the scalar operators bit for
+/// bit.
+fn op_differential<T: UnpackedReal>(x: T, y: T) {
+    let same = |a: T, b: T| (a.is_nan() && b.is_nan()) || a.decode() == b.decode();
+    assert!(same(kernel_round(softfloat::add, x, y), x + y), "{x:?} + {y:?} in {}", T::NAME);
+    assert!(same(kernel_round(softfloat::mul, x, y), x * y), "{x:?} * {y:?} in {}", T::NAME);
+    let mut n = x.decode();
+    if !n.is_nan() {
+        n.sign = !n.sign;
+    }
+    assert!(same(T::encode(T::round_value(&n)), -x), "-{x:?} in {}", T::NAME);
+    // Round-trip of the canonical decoded forms.
+    if !x.is_nan() {
+        assert!(same(T::encode(x.decode()), x), "{x:?} in {}", T::NAME);
+    }
+}
+
+fn diff_posit32(a: u32, b: u32) {
+    op_differential(Posit32::from_bits(a), Posit32::from_bits(b));
+}
+
+fn diff_takum32(a: u32, b: u32) {
+    op_differential(Takum32::from_bits(a), Takum32::from_bits(b));
+}
 
 fn diff_all16(a: u16, b: u16) {
-    diff_f16(a, b);
-    diff_bf16(a, b);
-    diff_posit16(a, b);
-    diff_posit16_es1(a, b);
-    diff_takum16(a, b);
+    op_differential(F16::from_bits(a), F16::from_bits(b));
+    op_differential(Bf16::from_bits(a), Bf16::from_bits(b));
+    op_differential(Posit16::from_bits(a), Posit16::from_bits(b));
+    op_differential(Posit16Es1::from_bits(a), Posit16Es1::from_bits(b));
+    op_differential(Takum16::from_bits(a), Takum16::from_bits(b));
 }
 
 #[test]
@@ -208,245 +199,6 @@ fn decoded_ops_match_scalar_on_boundary_corpus_32() {
             diff_posit32(a, b);
             diff_takum32(a, b);
         }
-    }
-}
-
-/// Bulk kernels against the scalar reference loops, for one format over a
-/// mixed magnitude/sign value set.
-fn bulk_differential<T: BatchReal>(values: &[f64]) {
-    let x: Vec<T> = values.iter().map(|&v| T::from_f64(v)).collect();
-    let y: Vec<T> = values.iter().rev().map(|&v| T::from_f64(v * 0.7 + 0.1)).collect();
-    let xd = batch::decode_slice(&x);
-    let yd = batch::decode_slice(&y);
-
-    // dot
-    let mut scalar = T::zero();
-    for (a, b) in x.iter().zip(&y) {
-        scalar += *a * *b;
-    }
-    let batch_dot = T::undec(batch::dot_decoded::<T>(&xd, &yd));
-    assert!(
-        same_bits(batch_dot, scalar),
-        "dot diverged in {}: {batch_dot} vs {scalar}",
-        T::NAME
-    );
-
-    // axpy (including the alpha == 0 early-out)
-    for alpha in [T::from_f64(-0.875), T::zero()] {
-        let mut yd2 = yd.clone();
-        batch::axpy_decoded::<T>(alpha.dec(), &xd, &mut yd2);
-        let mut y2 = y.clone();
-        for (yi, xi) in y2.iter_mut().zip(&x) {
-            if !alpha.is_zero() {
-                *yi += alpha * *xi;
-            }
-        }
-        for (d, s) in yd2.iter().zip(&y2) {
-            assert!(same_bits(T::undec(*d), *s), "axpy diverged in {}", T::NAME);
-        }
-    }
-
-    // scale
-    let alpha = T::from_f64(0.3125);
-    let mut xd2 = xd.clone();
-    batch::scale_decoded::<T>(alpha.dec(), &mut xd2);
-    let mut x2 = x.clone();
-    for xi in x2.iter_mut() {
-        *xi *= alpha;
-    }
-    for (d, s) in xd2.iter().zip(&x2) {
-        assert!(same_bits(T::undec(*d), *s), "scale diverged in {}", T::NAME);
-    }
-}
-
-fn same_bits<T: Real>(a: T, b: T) -> bool {
-    (a.is_nan() && b.is_nan()) || (a.to_f64() == b.to_f64())
-}
-
-#[test]
-fn bulk_kernels_match_scalar_loops() {
-    let values: Vec<f64> = (0..97)
-        .map(|i| (0.35 + (i % 17) as f64 * 0.21) * if i % 2 == 0 { 1.0 } else { -1.0 })
-        .collect();
-    bulk_differential::<F16>(&values);
-    bulk_differential::<Bf16>(&values);
-    bulk_differential::<Posit16>(&values);
-    bulk_differential::<Takum16>(&values);
-    bulk_differential::<Posit32>(&values);
-    bulk_differential::<Takum32>(&values);
-    bulk_differential::<Posit64>(&values);
-    bulk_differential::<Takum64>(&values);
-    bulk_differential::<E4M3>(&values);
-    bulk_differential::<f32>(&values);
-    bulk_differential::<f64>(&values);
-}
-
-/// Every encoded result of the full planes-kernel surface (dot, axpy,
-/// scale, SpMV over a ragged CSR with empty rows, gemm with zero
-/// coefficients), flattened to `f64` bit patterns for comparison across
-/// lane widths.
-fn planes_kernel_bits<T: BatchReal>(values: &[f64]) -> Vec<u64> {
-    let n = values.len();
-    let x: Vec<T> = values.iter().map(|&v| T::from_f64(v)).collect();
-    let y: Vec<T> = values.iter().rev().map(|&v| T::from_f64(v * 0.7 + 0.1)).collect();
-    let xp = T::Planes::decode(&x);
-    let yp = T::Planes::decode(&y);
-    let mut bits: Vec<u64> = Vec::new();
-
-    bits.push(T::undec(batch::dot_planes::<T>(&xp, &yp)).to_f64().to_bits());
-
-    let mut out = vec![T::zero(); n];
-    let mut yp2 = yp.clone();
-    batch::axpy_planes::<T>(T::from_f64(-0.875).dec(), &xp, &mut yp2);
-    yp2.encode_into(&mut out);
-    bits.extend(out.iter().map(|v| v.to_f64().to_bits()));
-
-    let mut xp2 = xp.clone();
-    batch::scale_planes::<T>(T::from_f64(0.3125).dec(), &mut xp2);
-    xp2.encode_into(&mut out);
-    bits.extend(out.iter().map(|v| v.to_f64().to_bits()));
-
-    // SpMV with ragged row lengths (empty rows included) so both the
-    // lane-blocked phase and the scalar tail run.
-    let nrows = 11;
-    let mut row_ptr = vec![0usize];
-    let mut col_idx: Vec<usize> = Vec::new();
-    for r in 0..nrows {
-        for k in 0..[0, 1, 2, 3, 5, 7][r % 6] {
-            col_idx.push((r * 5 + k * 3) % n);
-        }
-        row_ptr.push(col_idx.len());
-    }
-    let vals: Vec<T> =
-        (0..col_idx.len()).map(|i| T::from_f64(values[i % n] * 0.9 - 0.05)).collect();
-    let vp = T::Planes::decode(&vals);
-    let mut yv = T::Planes::with_len(nrows);
-    T::Planes::spmv(&vp, &row_ptr, &col_idx, &xp, &mut yv);
-    let mut yout = vec![T::zero(); nrows];
-    yv.encode_into(&mut yout);
-    bits.extend(yout.iter().map(|v| v.to_f64().to_bits()));
-
-    // gemm over four plane columns with mixed (zero included) coefficients.
-    let a: Vec<T::Planes> = (0..4)
-        .map(|c| {
-            let col: Vec<T> = (0..n).map(|i| T::from_f64(values[(i + c * 7) % n])).collect();
-            T::Planes::decode(&col)
-        })
-        .collect();
-    let b0: Vec<T> = [0.5, 0.0, -1.25, 0.75].iter().map(|&v| T::from_f64(v)).collect();
-    let b1: Vec<T> = [0.0, -0.375, 0.0, 1.5].iter().map(|&v| T::from_f64(v)).collect();
-    for col in batch::gemm_planes::<T>(n, &a, &[&b0, &b1]) {
-        col.encode_into(&mut out);
-        bits.extend(out.iter().map(|v| v.to_f64().to_bits()));
-    }
-    bits
-}
-
-fn check_lane_widths_identical<T: BatchReal>(values: &[f64]) {
-    batch::force_kernel_lanes(KernelLanes::W1);
-    let w1 = planes_kernel_bits::<T>(values);
-    batch::force_kernel_lanes(KernelLanes::W4);
-    let w4 = planes_kernel_bits::<T>(values);
-    batch::force_kernel_lanes(KernelLanes::WIDEST);
-    let widest = planes_kernel_bits::<T>(values);
-    assert_eq!(w1, w4, "W1 vs W4 diverged in {}", T::NAME);
-    assert_eq!(w1, widest, "W1 vs {:?} diverged in {}", KernelLanes::WIDEST, T::NAME);
-}
-
-/// Satellite contract of the lanes knob: every lane width computes the
-/// same bytes over the whole kernel surface, for every format.  (Flipping
-/// the process-global width mid-test is safe for the same reason the test
-/// passes: widths are bit-identical.)
-#[test]
-fn lane_widths_are_byte_identical() {
-    let mut values: Vec<f64> = (0..97)
-        .map(|i| {
-            (0.35 + (i % 17) as f64 * 0.21)
-                * if i % 2 == 0 { 1.0 } else { -1.0 }
-                * 2f64.powi((i % 23) - 11)
-        })
-        .collect();
-    // Zeros, saturation magnitudes and tiny values so the specials fast
-    // paths and the defer/saturate slow paths all run under every width.
-    values[7] = 0.0;
-    values[31] = 0.0;
-    values[43] = 1e300;
-    values[61] = -1e300;
-    values[83] = 1e-300;
-    check_lane_widths_identical::<E4M3>(&values);
-    check_lane_widths_identical::<E5M2>(&values);
-    check_lane_widths_identical::<Posit8>(&values);
-    check_lane_widths_identical::<Posit8Es0>(&values);
-    check_lane_widths_identical::<Takum8>(&values);
-    check_lane_widths_identical::<F16>(&values);
-    check_lane_widths_identical::<Bf16>(&values);
-    check_lane_widths_identical::<Posit16>(&values);
-    check_lane_widths_identical::<Posit16Es1>(&values);
-    check_lane_widths_identical::<Takum16>(&values);
-    check_lane_widths_identical::<f32>(&values);
-    check_lane_widths_identical::<Posit32>(&values);
-    check_lane_widths_identical::<Takum32>(&values);
-    check_lane_widths_identical::<f64>(&values);
-    check_lane_widths_identical::<Posit64>(&values);
-    check_lane_widths_identical::<Takum64>(&values);
-}
-
-fn check_planes_roundtrip<T: BatchReal>(seed: u64) {
-    let mut s = seed | 1;
-    let mut next = || {
-        s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        ((s >> 11) as f64 / (1u64 << 53) as f64) * 8.0 - 4.0
-    };
-    let mut x: Vec<T> = (0..33).map(|_| T::from_f64(next())).collect();
-    x[0] = T::zero();
-    x[11] = T::max_finite();
-    x[22] = T::min_positive();
-    let ds = DecodedSlice::decode(&x);
-    let dp = DecodedPlanes::from(&ds);
-    let back = DecodedSlice::from(&dp);
-    for (i, xi) in x.iter().enumerate() {
-        assert_eq!(
-            dp.bits()[i].to_f64().to_bits(),
-            xi.to_f64().to_bits(),
-            "planes bits [{i}] in {}",
-            T::NAME
-        );
-        assert!(dp.planes().get(i) == ds.dec()[i], "planes dec [{i}] in {}", T::NAME);
-        assert_eq!(
-            back.bits()[i].to_f64().to_bits(),
-            xi.to_f64().to_bits(),
-            "round-trip bits [{i}] in {}",
-            T::NAME
-        );
-        assert!(back.dec()[i] == ds.dec()[i], "round-trip dec [{i}] in {}", T::NAME);
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(512))]
-
-    /// Satellite contract of the struct-of-arrays stores: converting an
-    /// array-of-structs cache to planes and back preserves every element,
-    /// for every format the engine serves.
-    #[test]
-    fn decoded_slice_planes_roundtrip(seed in any::<u64>()) {
-        check_planes_roundtrip::<E4M3>(seed);
-        check_planes_roundtrip::<E5M2>(seed);
-        check_planes_roundtrip::<Posit8>(seed);
-        check_planes_roundtrip::<Posit8Es0>(seed);
-        check_planes_roundtrip::<Takum8>(seed);
-        check_planes_roundtrip::<F16>(seed);
-        check_planes_roundtrip::<Bf16>(seed);
-        check_planes_roundtrip::<Posit16>(seed);
-        check_planes_roundtrip::<Posit16Es1>(seed);
-        check_planes_roundtrip::<Takum16>(seed);
-        check_planes_roundtrip::<f32>(seed);
-        check_planes_roundtrip::<Posit32>(seed);
-        check_planes_roundtrip::<Takum32>(seed);
-        check_planes_roundtrip::<f64>(seed);
-        check_planes_roundtrip::<Posit64>(seed);
-        check_planes_roundtrip::<Takum64>(seed);
-        check_planes_roundtrip::<lpa_arith::Dd>(seed);
     }
 }
 
@@ -492,25 +244,26 @@ proptest! {
 
     #[test]
     fn random_mul_add_chains_match(seed in any::<u64>()) {
-        // A short random chain through the decoded domain vs the scalar
-        // operators, encoded once at the end.
-        fn chain<T: BatchReal>(seed: u64) {
+        // A short random chain of kernel + `round_value` steps kept
+        // decoded vs the scalar operators, encoded once at the end.
+        fn chain<T: UnpackedReal>(seed: u64) {
             let mut s = seed | 1;
             let mut next = || {
                 s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
                 ((s >> 11) as f64 / (1u64 << 53) as f64) * 4.0 - 2.0
             };
             let mut acc_scalar = T::from_f64(next());
-            let mut acc_dec = acc_scalar.dec();
+            let mut acc_dec = acc_scalar.decode();
             for _ in 0..24 {
                 let x = T::from_f64(next());
                 let y = T::from_f64(next());
                 acc_scalar = acc_scalar * x + y;
-                acc_dec = T::dec_add(T::dec_mul(acc_dec, x.dec()), y.dec());
+                let prod = T::round_value(&softfloat::mul(&acc_dec, &x.decode()));
+                acc_dec = T::round_value(&softfloat::add(&prod, &y.decode()));
             }
+            let acc = T::encode(acc_dec);
             assert!(
-                (acc_scalar.is_nan() && T::undec(acc_dec).is_nan())
-                    || acc_scalar.to_f64() == T::undec(acc_dec).to_f64(),
+                (acc_scalar.is_nan() && acc.is_nan()) || acc_scalar.to_f64() == acc.to_f64(),
                 "chain diverged in {}",
                 T::NAME
             );

@@ -2,6 +2,10 @@
 //! decoded form is `Unpacked` (float16, bfloat16, posit16, posit16(es=1),
 //! takum16, posit32, takum32, posit64, takum64), every op, comparison and
 //! classification of `Decoded<T>` must agree with `T`'s own scalar op.
+//! The posit and takum add/sub/mul are the fused combine-and-round, so
+//! their operand sets add the cases its branch-free operand swap and sign
+//! mix must get right: random signs, exact cancellations, zero operands and
+//! saturating magnitudes.
 //!
 //! "Agree" is checked at the strictest level that matters for chains: the
 //! decoded result of each op must be *field for field* the decode of `T`'s
@@ -23,7 +27,7 @@ use proptest::prelude::*;
 fn assert_same<T: UnpackedReal>(d: Decoded<T>, x: T, what: &str) {
     assert_eq!(
         d.into_dec(),
-        x.dec(),
+        x.decode(),
         "{what} in {}: decoded form diverged",
         T::NAME
     );
@@ -79,13 +83,8 @@ fn check_unary<T: UnpackedReal>(x: T) {
         a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()),
         "to_f64 {x:?}: {a} vs {b}"
     );
-    // Encoding is exact, and so are the dense-phase conversions.
-    assert_eq!(d.encode().dec(), x.dec(), "encode round trip {x:?}");
-    assert_eq!(
-        T::from_dense(x.to_dense()).dec(),
-        x.dec(),
-        "dense round trip {x:?}"
-    );
+    // Encoding is exact.
+    assert_eq!(d.encode().decode(), x.decode(), "encode round trip {x:?}");
 }
 
 fn check_constants<T: UnpackedReal>() {
@@ -219,6 +218,58 @@ fn zero_compares_equal_across_signs_and_nan_is_unordered() {
     check::<Takum64>();
 }
 
+/// The fused add/sub/mul on one pair, against `T`'s scalar operators.
+fn check_fused<T: UnpackedReal>(x: T, y: T) {
+    let (dx, dy) = (Decoded::decode(x), Decoded::decode(y));
+    assert_same(dx + dy, x + y, &format!("{x:?} + {y:?}"));
+    assert_same(dx - dy, x - y, &format!("{x:?} - {y:?}"));
+    assert_same(dx * dy, x * y, &format!("{x:?} * {y:?}"));
+}
+
+/// The pairs around `x` and `y` the fused ops' swap, sign-mix, zero and
+/// saturation paths branch on: both sign combinations, `x ∓ x` (exact
+/// cancellation, also through the sign-mixed add), a zero on either side,
+/// a one-ulp neighbour (near-cancellation), and the extremes.
+fn check_fused_family<T: UnpackedReal>(x: T, y: T, next_up: fn(T) -> T) {
+    let (max, min, zero) = (T::max_finite(), T::min_positive(), T::zero());
+    let near = next_up(x);
+    for (a, b) in [
+        (x, y),
+        (x, -y),
+        (-x, y),
+        (-x, -y),
+        (y, x),
+        (x, x),
+        (x, -x),
+        (-x, x),
+        (x, near),
+        (x, -near),
+        (x, zero),
+        (zero, x),
+        (zero, -x),
+        (max, x),
+        (x, -max),
+        (max, max),
+        (-max, -max),
+        (min, x),
+        (min, -min),
+        (min, min),
+        (max, min),
+    ] {
+        check_fused(a, b);
+    }
+}
+
+/// [`check_fused_family`] on the patterns `a` and `b` of each format, with
+/// the next pattern up as the one-ulp neighbour.
+macro_rules! fused_families {
+    ($a:expr, $b:expr; $($t:ty: $bits:ty),*) => {$(
+        check_fused_family(<$t>::from_bits($a as $bits), <$t>::from_bits($b as $bits), |x| {
+            <$t>::from_bits(x.to_bits().wrapping_add(1))
+        });
+    )*};
+}
+
 /// A random op chain kept decoded end to end, against `T`'s chain: the
 /// Schur phase's usage pattern in miniature.
 fn chain<T: UnpackedReal>(seed: u64) {
@@ -284,6 +335,15 @@ proptest! {
         check_pair(Takum64::from_bits(a), Takum64::from_bits(b));
         check_unary(Posit64::from_bits(a));
         check_unary(Takum64::from_bits(b));
+    }
+
+    #[test]
+    fn fused_ops_match_on_signed_cancelling_zero_and_saturating_pairs(
+        a in any::<u64>(),
+        b in any::<u64>(),
+    ) {
+        fused_families!(a, b; Posit16: u16, Posit16Es1: u16, Takum16: u16, Posit32: u32,
+            Takum32: u32, Posit64: u64, Takum64: u64, F16: u16, Bf16: u16);
     }
 
     #[test]

@@ -25,8 +25,8 @@ fn same(a: f64, b: f64) -> bool {
 }
 
 /// Per-format differential check of the unpack-once 16-bit fast path: the
-/// operators (table path by default) must produce the exact bit pattern of
-/// the soft-float reference for every binary operation.
+/// operators (the table path) must produce the exact bit pattern of the
+/// soft-float reference for every binary operation.
 macro_rules! dec16_differential_fns {
     ($check:ident, $t:ty) => {
         fn $check(a: u16, b: u16) {
@@ -132,11 +132,6 @@ fn dec16_boundary_corpus() -> Vec<u16> {
 /// 16-bit formats: fast path == soft-float reference, bit for bit.
 #[test]
 fn dec16_fast_path_matches_softfloat_on_boundary_corpus() {
-    assert_eq!(
-        lpa_arith::dec16_tier(),
-        lpa_arith::Dec16Tier::Unpack,
-        "the differential corpus must exercise the table path"
-    );
     let pats = dec16_boundary_corpus();
     assert!(pats.len() >= 100, "corpus unexpectedly small: {}", pats.len());
     for &a in &pats {

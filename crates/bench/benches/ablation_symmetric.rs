@@ -1,12 +1,14 @@
 //! Ablation: does exploiting symmetry (dense tridiagonal path) change the
 //! format ranking relative to the untailored general Krylov-Schur path?
+//! Both paths run at `Decoded<T>`, as the experiment pipeline does.
 use lpa_arith::types::{Posit16, Takum16, F16};
+use lpa_arith::Decoded;
 
 use lpa_arnoldi::{partial_schur, ArnoldiOptions};
 use lpa_dense::eigen_sym::symmetric_eigenvalues;
 use lpa_datagen::{general_corpus, CorpusConfig};
 
-fn spectrum_error<T: lpa_arith::BatchReal>(m: &lpa_sparse::CsrMatrix<f64>, via_arnoldi: bool) -> Option<f64> {
+fn spectrum_error<T: lpa_arith::Real>(m: &lpa_sparse::CsrMatrix<f64>, via_arnoldi: bool) -> Option<f64> {
     let reference = {
         let mut e = symmetric_eigenvalues(&m.to_dense()).ok()?;
         e.sort_by(|a, b| b.abs().partial_cmp(&a.abs()).unwrap());
@@ -49,8 +51,8 @@ fn main() {
             println!("{:<12} {:>16.3e} {:>16.3e}", $name, med(&a), med(&s));
         }};
     }
-    row!(F16, "float16");
-    row!(Posit16, "posit16");
-    row!(Takum16, "takum16");
+    row!(Decoded<F16>, "float16");
+    row!(Decoded<Posit16>, "posit16");
+    row!(Decoded<Takum16>, "takum16");
     println!("(the format ranking should agree between the two paths)");
 }

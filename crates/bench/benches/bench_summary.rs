@@ -1,24 +1,19 @@
 //! Machine-readable micro-benchmark summary: `cargo bench -p lpa-bench
 //! --bench bench_summary` writes `out/BENCH_micro.json` with median ns/op
-//! per format for scalar add/mul, per-element dot and per-nonzero SpMV
-//! (dot routed through the batch-dispatching BLAS, SpMV through the
-//! decode-once `CsrDecoded` plane store — the hot-path configuration the
-//! experiment grid actually runs), the soft-float baselines for the
-//! table-served formats, the `*_scalar` batch-off baselines for the
-//! formats the batch kernel engine accelerates (compare e.g. `posit32`
-//! against `posit32_scalar` for the engine's before/after), the
-//! `*_planes_off` baselines (the previous array-of-structs decoded
-//! kernels, so the struct-of-arrays planes win is visible in one file),
+//! per format for scalar add/mul (the format's own operators), per-element
+//! dot and per-nonzero SpMV (at the element type the solver runs: the
+//! emulated 16/32/64-bit formats at `Decoded<T>`, every other format at
+//! its own type), the soft-float baselines for the table-served formats,
 //! the end-to-end wall time of a Figure-1 style experiment run, and the
 //! cold-vs-warm cost of the same run through the persistent `lpa-store`
 //! (the `store` block: hit/miss counters and wall times), and the
 //! disarmed-span overhead pair (`<format>_obs`: the decoded dot with and
-//! without an `lpa_obs::span` in the loop body).  The run also asserts
+//! without an `lpa_obs::span` opened per call).  The run also asserts
 //! the four 8-bit LUT-tier dots stay within 1.5x of each other — the
 //! takum8 outlier from the v6 trajectory must not come back.
 //!
 //! The file gives future PRs a perf trajectory to compare against; keep the
-//! schema (`lpa-bench-micro/v7`) stable or bump the version.  The config
+//! schema (`lpa-bench-micro/v8`) stable or bump the version.  The config
 //! block records the `LPA_FAULTS` and `LPA_OBS` states next to the numbers
 //! — perf is only comparable between runs with matching gate states.  CI
 //! regenerates the file and prints greppable `bench-delta:` lines against
@@ -29,11 +24,10 @@ use std::time::Instant;
 use lpa_arith::types::{
     Bf16, E4M3, E5M2, F16, Posit16, Posit32, Posit64, Posit8, Takum16, Takum32, Takum64, Takum8,
 };
-use lpa_arith::{batch, BatchReal, Dd, PlaneStore, Real};
+use lpa_arith::{Dd, Decoded, Real};
 use lpa_datagen::general;
-use lpa_dense::DMatrix;
 use lpa_experiments::ExperimentPlan;
-use lpa_sparse::{CsrDecoded, CsrMatrix};
+use lpa_sparse::CsrMatrix;
 use lpa_store::{ArtifactKind, CountersSnapshot, Store};
 use serde::Value;
 
@@ -115,55 +109,18 @@ fn dot_operands<T: Real>() -> (Vec<T>, Vec<T>) {
     (x, y)
 }
 
-/// Dot through the ambient engine (the batch-dispatching BLAS entry point).
-fn dot_ns<T: BatchReal>() -> f64 {
+/// Dot through the BLAS entry point the solver's Gram–Schmidt calls.
+fn dot_ns<T: Real>() -> f64 {
     let (x, y) = dot_operands::<T>();
     median_ns_per_call(|| {
-        std::hint::black_box(lpa_dense::blas::dot(&x, &y));
+        std::hint::black_box(lpa_dense::blas::dot(std::hint::black_box(&x), &y));
     }) / DOT_LEN as f64
 }
 
-/// Dot through the plain scalar operator loop (the batch-off baseline).
-fn dot_scalar_ns<T: Real>() -> f64 {
-    let (x, y) = dot_operands::<T>();
-    median_ns_per_call(|| {
-        let mut acc = T::zero();
-        for (a, b) in x.iter().zip(&y) {
-            acc += *a * *b;
-        }
-        std::hint::black_box(acc);
-    }) / DOT_LEN as f64
-}
-
-fn spmv_operand<T: Real>(ncols: usize) -> Vec<T> {
-    (0..ncols).map(|i| T::from_f64(0.3 + (i % 5) as f64 * 0.14)).collect()
-}
-
-/// SpMV through the ambient engine: with the batch engine enabled (the
-/// default), the Krylov hot-loop configuration — matrix values decoded
-/// once into plane stores (`CsrDecoded`), the operand vector pre-decoded
-/// like a basis-column shadow, the result left in plane form like the work
-/// buffer; with `LPA_KERNEL_BATCH=scalar` (or for `Dec = Self` formats),
-/// the plain scalar CSR loop, so the recorded `config.kernel_batch` always
-/// matches what was measured.
-fn spmv_ns<T: BatchReal>(a64: &CsrMatrix<f64>) -> f64 {
-    if !(T::DECODED && lpa_arith::kernel_batch_enabled()) {
-        return spmv_scalar_ns::<T>(a64);
-    }
-    let a = CsrDecoded::new(a64.convert::<T>());
-    let x = T::Planes::decode(&spmv_operand::<T>(a.ncols()));
-    let mut y = T::Planes::with_len(a.nrows());
-    let nnz = a.nnz() as f64;
-    median_ns_per_call(move || {
-        a.spmv_planes(std::hint::black_box(&x), &mut y);
-        std::hint::black_box(&y);
-    }) / nnz
-}
-
-/// SpMV through the scalar CSR loop (the batch-off baseline).
-fn spmv_scalar_ns<T: Real>(a64: &CsrMatrix<f64>) -> f64 {
+/// SpMV through `CsrMatrix::spmv`, the solver's operator.
+fn spmv_ns<T: Real>(a64: &CsrMatrix<f64>) -> f64 {
     let a: CsrMatrix<T> = a64.convert();
-    let x = spmv_operand::<T>(a.ncols());
+    let x: Vec<T> = (0..a.ncols()).map(|i| T::from_f64(0.3 + (i % 5) as f64 * 0.14)).collect();
     let mut y = vec![T::zero(); a.nrows()];
     let nnz = a.nnz() as f64;
     median_ns_per_call(move || {
@@ -172,114 +129,32 @@ fn spmv_scalar_ns<T: Real>(a64: &CsrMatrix<f64>) -> f64 {
     }) / nnz
 }
 
-fn format_entry<T: BatchReal>(a64: &CsrMatrix<f64>) -> (String, Value) {
+/// One format's entry: scalar add/mul chains through the format type `T`,
+/// dot and SpMV at `S`, the element type the solver runs for it.
+fn format_entry<T: Real, S: Real>(a64: &CsrMatrix<f64>) -> (String, Value) {
     let map = vec![
         ("add".to_string(), Value::Num(scalar_add_ns::<T>())),
         ("mul".to_string(), Value::Num(scalar_mul_ns::<T>())),
-        ("dot".to_string(), Value::Num(dot_ns::<T>())),
-        ("spmv".to_string(), Value::Num(spmv_ns::<T>(a64))),
+        ("dot".to_string(), Value::Num(dot_ns::<S>())),
+        ("spmv".to_string(), Value::Num(spmv_ns::<S>(a64))),
     ];
     (json_name(T::NAME), Value::Map(map))
 }
 
-/// Batch-off baseline entry (`<format>_scalar`): the same dot/SpMV chains
-/// through the plain scalar operators, for the formats the batch kernel
-/// engine accelerates.
-fn scalar_baseline_entry<T: BatchReal>(a64: &CsrMatrix<f64>) -> (String, Value) {
-    let map = vec![
-        ("dot".to_string(), Value::Num(dot_scalar_ns::<T>())),
-        ("spmv".to_string(), Value::Num(spmv_scalar_ns::<T>(a64))),
-    ];
-    (format!("{}_scalar", json_name(T::NAME)), Value::Map(map))
-}
-
-/// Planes-off baseline entry (`<format>_planes_off`): the same decoded
-/// dot/SpMV chains through the previous array-of-structs kernels (a flat
-/// `Vec<T::Dec>` of decoded values, one struct per element) instead of the
-/// struct-of-arrays plane stores, so the planes speedup is measurable from
-/// this file alone.
-fn planes_off_entry<T: BatchReal>(a64: &CsrMatrix<f64>) -> (String, Value) {
-    let (x, y) = dot_operands::<T>();
-    let (xd, yd) = (batch::decode_slice(&x), batch::decode_slice(&y));
-    let dot = median_ns_per_call(|| {
-        std::hint::black_box(batch::dot_decoded::<T>(std::hint::black_box(&xd), &yd));
-    }) / DOT_LEN as f64;
-    let a = CsrDecoded::new(a64.convert::<T>());
-    let sx = batch::decode_slice(&spmv_operand::<T>(a.ncols()));
-    let mut sy = vec![T::zero().dec(); a.nrows()];
-    let nnz = a.nnz() as f64;
-    let spmv = median_ns_per_call(move || {
-        a.spmv_decoded(std::hint::black_box(&sx), &mut sy);
-        std::hint::black_box(&sy);
-    }) / nnz;
-    (
-        format!("{}_planes_off", json_name(T::NAME)),
-        Value::Map(vec![
-            ("dot".to_string(), Value::Num(dot)),
-            ("spmv".to_string(), Value::Num(spmv)),
-        ]),
-    )
-}
-
-/// Restart-gemm pair (`<format>_gemm`): the struct-of-arrays
-/// `batch::gemm_planes` (the Krylov-Schur restart-basis update kernel)
-/// against the encoded `DMatrix::matmul` it replaced, in ns per
-/// multiply-add over restart-shaped operands (a tall basis times a small
-/// projector).
-fn gemm_entry<T: BatchReal>() -> (String, Value) {
-    let (n, m, k) = (256usize, 12usize, 8usize);
-    let mut v = DMatrix::<T>::zeros(n, m);
-    for j in 0..m {
-        for (i, slot) in v.col_mut(j).iter_mut().enumerate() {
-            let mag = 0.3 + ((i + 3 * j) % 9) as f64 * 0.11;
-            *slot = T::from_f64(if (i + j) % 2 == 0 { mag } else { -mag });
-        }
-    }
-    let mut z = DMatrix::<T>::zeros(m, k);
-    for j in 0..k {
-        for (i, slot) in z.col_mut(j).iter_mut().enumerate() {
-            *slot = T::from_f64(0.2 + ((i + j) % 7) as f64 * 0.13);
-        }
-    }
-    let planes: Vec<T::Planes> = (0..m).map(|j| T::Planes::decode(v.col(j))).collect();
-    let z_cols: Vec<&[T]> = (0..k).map(|j| z.col(j)).collect();
-    let madds = (n * m * k) as f64;
-    let planes_ns = median_ns_per_call(|| {
-        std::hint::black_box(batch::gemm_planes::<T>(n, std::hint::black_box(&planes), &z_cols));
-    }) / madds;
-    let scalar_ns = median_ns_per_call(|| {
-        std::hint::black_box(v.matmul(std::hint::black_box(&z)));
-    }) / madds;
-    (
-        format!("{}_gemm", json_name(T::NAME)),
-        Value::Map(vec![
-            ("planes".to_string(), Value::Num(planes_ns)),
-            ("scalar".to_string(), Value::Num(scalar_ns)),
-        ]),
-    )
-}
-
-/// Disarmed-span overhead pair (`<format>_obs`): the identical decoded-dot
-/// loop with and without an `lpa_obs::span` opened per call. While `LPA_OBS`
-/// is unset the span costs one relaxed atomic load and a branch; the
+/// Disarmed-span overhead pair (`<format>_obs`): the identical dot with
+/// and without an `lpa_obs::span` opened per call. While `LPA_OBS` is
+/// unset the span costs one relaxed atomic load and a branch; the
 /// `bench-delta:` CI guard compares both keys against the committed
 /// baseline so a regression in the disarmed path cannot land silently.
-fn obs_span_entry<T: BatchReal>() -> (String, Value) {
+fn obs_span_entry<T: Real>() -> (String, Value) {
     let (x, y) = dot_operands::<T>();
-    let (xd, yd) = (batch::decode_slice(&x), batch::decode_slice(&y));
-    let dot = |xd: &[T::Dec], yd: &[T::Dec]| {
-        let mut acc = T::zero().dec();
-        for (a, b) in xd.iter().zip(yd) {
-            acc = T::dec_add(acc, T::dec_mul(*a, *b));
-        }
-        T::undec(acc)
-    };
+    let dot = |x: &[T], y: &[T]| lpa_dense::blas::dot(x, y);
     let with_span = median_ns_per_call(|| {
         let _span = lpa_obs::span(lpa_obs::STORE_GET);
-        std::hint::black_box(dot(std::hint::black_box(&xd), &yd));
+        std::hint::black_box(dot(std::hint::black_box(&x), &y));
     }) / DOT_LEN as f64;
     let without_span = median_ns_per_call(|| {
-        std::hint::black_box(dot(std::hint::black_box(&xd), &yd));
+        std::hint::black_box(dot(std::hint::black_box(&x), &y));
     }) / DOT_LEN as f64;
     (
         format!("{}_obs", json_name(T::NAME)),
@@ -330,21 +205,21 @@ fn main() {
 
     println!("collecting per-format micro-benchmarks (median ns/op)...");
     let mut formats: Vec<(String, Value)> = vec![
-        format_entry::<E4M3>(&a64),
-        format_entry::<E5M2>(&a64),
-        format_entry::<Posit8>(&a64),
-        format_entry::<Takum8>(&a64),
-        format_entry::<F16>(&a64),
-        format_entry::<Bf16>(&a64),
-        format_entry::<Posit16>(&a64),
-        format_entry::<Takum16>(&a64),
-        format_entry::<f32>(&a64),
-        format_entry::<Posit32>(&a64),
-        format_entry::<Takum32>(&a64),
-        format_entry::<f64>(&a64),
-        format_entry::<Posit64>(&a64),
-        format_entry::<Takum64>(&a64),
-        format_entry::<Dd>(&a64),
+        format_entry::<E4M3, E4M3>(&a64),
+        format_entry::<E5M2, E5M2>(&a64),
+        format_entry::<Posit8, Posit8>(&a64),
+        format_entry::<Takum8, Takum8>(&a64),
+        format_entry::<F16, Decoded<F16>>(&a64),
+        format_entry::<Bf16, Decoded<Bf16>>(&a64),
+        format_entry::<Posit16, Decoded<Posit16>>(&a64),
+        format_entry::<Takum16, Decoded<Takum16>>(&a64),
+        format_entry::<f32, f32>(&a64),
+        format_entry::<Posit32, Decoded<Posit32>>(&a64),
+        format_entry::<Takum32, Decoded<Takum32>>(&a64),
+        format_entry::<f64, f64>(&a64),
+        format_entry::<Posit64, Decoded<Posit64>>(&a64),
+        format_entry::<Takum64, Decoded<Takum64>>(&a64),
+        format_entry::<Dd, Dd>(&a64),
     ];
     softfloat_baseline!(E4M3, &a64, formats);
     softfloat_baseline!(E5M2, &a64, formats);
@@ -354,23 +229,10 @@ fn main() {
     softfloat_baseline!(Bf16, &a64, formats);
     softfloat_baseline!(Posit16, &a64, formats);
     softfloat_baseline!(Takum16, &a64, formats);
-    // Batch-off baselines for the formats the batch kernel engine serves.
-    formats.push(scalar_baseline_entry::<Posit16>(&a64));
-    formats.push(scalar_baseline_entry::<Takum16>(&a64));
-    formats.push(scalar_baseline_entry::<Posit32>(&a64));
-    formats.push(scalar_baseline_entry::<Takum32>(&a64));
-    // Planes-off baselines: the pre-planes array-of-structs decoded kernels.
-    formats.push(planes_off_entry::<Posit16>(&a64));
-    formats.push(planes_off_entry::<Takum16>(&a64));
-    formats.push(planes_off_entry::<Posit32>(&a64));
-    formats.push(planes_off_entry::<Takum32>(&a64));
-    // Restart-gemm pairs (planes vs the encoded matmul it replaced).
-    formats.push(gemm_entry::<Posit32>());
-    formats.push(gemm_entry::<Takum16>());
     // Disarmed tracing-span overhead pairs (the obs analogue of the
     // fault-point pair in `micro_kernels`).
-    formats.push(obs_span_entry::<Posit32>());
-    formats.push(obs_span_entry::<Takum32>());
+    formats.push(obs_span_entry::<Decoded<Posit32>>());
+    formats.push(obs_span_entry::<Decoded<Takum32>>());
 
     for (name, entry) in &formats {
         if let Value::Map(ops) = entry {
@@ -465,7 +327,7 @@ fn main() {
     };
 
     let summary = Value::Map(vec![
-        ("schema".to_string(), Value::Str("lpa-bench-micro/v7".to_string())),
+        ("schema".to_string(), Value::Str("lpa-bench-micro/v8".to_string())),
         (
             "config".to_string(),
             Value::Map(vec![
@@ -474,18 +336,6 @@ fn main() {
                 ("spmv_matrix".to_string(), Value::Str("laplacian_2d 24x24".to_string())),
                 ("units".to_string(), Value::Str("ns per scalar op / element / nnz".to_string())),
                 ("threads".to_string(), Value::Num(rayon::current_num_threads() as f64)),
-                (
-                    "dec16_tier".to_string(),
-                    Value::Str(format!("{:?}", lpa_arith::dec16_tier()).to_lowercase()),
-                ),
-                (
-                    "kernel_batch".to_string(),
-                    Value::Str(format!("{:?}", lpa_arith::kernel_batch()).to_lowercase()),
-                ),
-                (
-                    "kernel_lanes".to_string(),
-                    Value::Num(lpa_arith::kernel_lanes().width() as f64),
-                ),
                 (
                     "figure1_matrices".to_string(),
                     Value::Num((results.matrices.len() + results.skipped.len()) as f64),

@@ -1,7 +1,9 @@
 //! Criterion micro-benchmarks of the substrates: per-format scalar
 //! arithmetic, sparse matrix-vector products, a full partial Schur solve,
 //! the Hungarian matching step, and an end-to-end experiment grid through
-//! the `ExperimentPlan` front door.
+//! the `ExperimentPlan` front door.  The emulated 16/32/64-bit formats'
+//! dots, SpMVs and solves run at `Decoded<T>`, the element type the
+//! experiment pipeline solves them at.
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::time::Duration;
@@ -9,10 +11,10 @@ use std::time::Duration;
 use lpa_arith::types::{
     Bf16, Posit16, Posit32, Posit64, Posit8, Takum16, Takum32, Takum64, Takum8, E4M3, E5M2, F16,
 };
-use lpa_arith::{batch, BatchReal, Dd, PlaneStore, Real};
+use lpa_arith::{Dd, Decoded, Real};
 use lpa_arnoldi::{partial_schur, ArnoldiOptions};
 use lpa_datagen::general;
-use lpa_dense::DMatrix;
+use lpa_dense::blas::dot;
 use lpa_experiments::{ExperimentConfig, ExperimentPlan, FormatTag};
 use lpa_sparse::CsrMatrix;
 
@@ -96,51 +98,40 @@ fn bench_lut_vs_softfloat(c: &mut Criterion) {
     backend_pair!(Takum16, "takum16");
 }
 
-/// The batch kernel engine against the scalar operator loops on the
-/// Krylov-shaped kernels — a pre-decoded dot and a decode-once SpMV, both
-/// through the struct-of-arrays plane stores the engine now runs on — for
-/// the formats the engine serves (acceptance gate for the 32-bit tapered
-/// formats: >= 1.5x, bit-identical results).
-fn bench_batch_vs_scalar(c: &mut Criterion) {
-    let a64 = general::laplacian_2d(24, 24, 1.0);
-    fn run<T: BatchReal>(c: &mut Criterion, a64: &lpa_sparse::CsrMatrix<f64>, label: &str) {
-        let n = 1024;
-        let x: Vec<T> = (0..n)
-            .map(|i| T::from_f64((0.6 + (i % 7) as f64 * 0.09) * if i % 2 == 0 { 1.0 } else { -1.0 }))
-            .collect();
-        let y: Vec<T> = (0..n).map(|i| T::from_f64(0.4 + (i % 11) as f64 * 0.07)).collect();
-        let (xp, yp) = (T::Planes::decode(&x), T::Planes::decode(&y));
-        c.bench_function(&format!("dot/{label}/batch"), |b| {
-            b.iter(|| black_box(T::undec(batch::dot_planes::<T>(black_box(&xp), &yp))))
-        });
-        c.bench_function(&format!("dot/{label}/scalar"), |b| {
-            b.iter(|| {
-                let mut acc = T::zero();
-                for (a, b) in x.iter().zip(&y) {
-                    acc += *a * *b;
-                }
-                black_box(acc)
-            })
-        });
+/// Dot operands whose 1024-term accumulation stays inside every format's
+/// range (alternating signs).
+fn dot_operands<T: Real>() -> (Vec<T>, Vec<T>) {
+    let n = 1024;
+    let x = (0..n)
+        .map(|i| T::from_f64((0.6 + (i % 7) as f64 * 0.09) * if i % 2 == 0 { 1.0 } else { -1.0 }))
+        .collect();
+    let y = (0..n).map(|i| T::from_f64(0.4 + (i % 11) as f64 * 0.07)).collect();
+    (x, y)
+}
 
-        let a: CsrMatrix<T> = a64.convert();
-        let ad = lpa_sparse::CsrDecoded::new(a.clone());
-        let xs: Vec<T> = (0..a.ncols()).map(|i| T::from_f64((i % 7) as f64 * 0.1)).collect();
-        let xsp = T::Planes::decode(&xs);
-        let mut ys = vec![T::zero(); a.nrows()];
-        let mut ysp = T::Planes::with_len(a.nrows());
-        c.bench_function(&format!("spmv/{label}/batch"), |b| {
-            b.iter(|| {
-                ad.spmv_planes(black_box(&xsp), &mut ysp);
-                black_box(&ysp);
-            })
+/// The Krylov-shaped kernels — a dot and an SpMV — at `Decoded<T>` (what
+/// the solver runs) against the same kernels on the encoded format type
+/// (bit-identical results).
+fn bench_decoded_vs_encoded(c: &mut Criterion) {
+    let a64 = general::laplacian_2d(24, 24, 1.0);
+    fn kernels<T: Real>(c: &mut Criterion, a64: &CsrMatrix<f64>, label: &str, kind: &str) {
+        let (x, y) = dot_operands::<T>();
+        c.bench_function(&format!("dot/{label}/{kind}"), |b| {
+            b.iter(|| black_box(dot(black_box(&x), &y)))
         });
-        c.bench_function(&format!("spmv/{label}/scalar"), |b| {
+        let a: CsrMatrix<T> = a64.convert();
+        let xs: Vec<T> = (0..a.ncols()).map(|i| T::from_f64((i % 7) as f64 * 0.1)).collect();
+        let mut ys = vec![T::zero(); a.nrows()];
+        c.bench_function(&format!("spmv/{label}/{kind}"), |b| {
             b.iter(|| {
                 a.spmv(black_box(&xs), &mut ys);
                 black_box(&ys);
             })
         });
+    }
+    fn run<T: lpa_arith::UnpackedReal>(c: &mut Criterion, a64: &CsrMatrix<f64>, label: &str) {
+        kernels::<Decoded<T>>(c, a64, label, "decoded");
+        kernels::<T>(c, a64, label, "encoded");
     }
     run::<Posit16>(c, &a64, "posit16");
     run::<Takum16>(c, &a64, "takum16");
@@ -148,108 +139,51 @@ fn bench_batch_vs_scalar(c: &mut Criterion) {
     run::<Takum32>(c, &a64, "takum32");
 }
 
-/// The struct-of-arrays gemm (the restart-basis update kernel,
-/// `batch::gemm_planes`) against the encoded `DMatrix::matmul` it replaced
-/// in the Krylov-Schur restart (bit-identical columns by construction; the
-/// planes side also returns the decoded shadows the restart needs, which
-/// the encoded side would have to recompute).
-fn bench_gemm_planes_vs_scalar(c: &mut Criterion) {
-    fn run<T: BatchReal>(c: &mut Criterion, label: &str) {
-        // Restart-shaped operands: a tall basis times a small projector.
-        let (n, m, k) = (256, 12, 8);
-        let mut v = DMatrix::<T>::zeros(n, m);
-        for j in 0..m {
-            for (i, slot) in v.col_mut(j).iter_mut().enumerate() {
-                let mag = 0.3 + ((i + 3 * j) % 9) as f64 * 0.11;
-                *slot = T::from_f64(if (i + j) % 2 == 0 { mag } else { -mag });
-            }
-        }
-        let mut z = DMatrix::<T>::zeros(m, k);
-        for j in 0..k {
-            for (i, slot) in z.col_mut(j).iter_mut().enumerate() {
-                *slot = T::from_f64(0.2 + ((i + j) % 7) as f64 * 0.13);
-            }
-        }
-        let planes: Vec<T::Planes> = (0..m).map(|j| T::Planes::decode(v.col(j))).collect();
-        let z_cols: Vec<&[T]> = (0..k).map(|j| z.col(j)).collect();
-        c.bench_function(&format!("gemm/{label}/planes"), |b| {
-            b.iter(|| black_box(batch::gemm_planes::<T>(n, black_box(&planes), &z_cols)))
-        });
-        c.bench_function(&format!("gemm/{label}/scalar"), |b| {
-            b.iter(|| black_box(v.matmul(black_box(&z))))
-        });
-    }
-    run::<Posit32>(c, "posit32");
-    run::<Takum16>(c, "takum16");
-}
-
-/// The disarmed fault-point overhead on the hottest kernel:
-/// `batch::dot_decoded` carries a `solver.stall` fault point (one relaxed
-/// atomic load per call when `LPA_FAULTS` is unset) — compare against the
-/// identical decoded-dot loop without the point. The `bench-delta:` guard
-/// in CI asserts the pair stays within noise of each other.
+/// The disarmed fault-point overhead: a decoded dot preceded by a
+/// `solver.stall` point (one relaxed atomic load per call when
+/// `LPA_FAULTS` is unset, the cost every Arnoldi restart pays) against the
+/// identical dot without the point.
 fn bench_fault_point_overhead(c: &mut Criterion) {
-    fn run<T: BatchReal>(c: &mut Criterion, label: &str) {
-        let n = 1024;
-        let x: Vec<T> = (0..n)
-            .map(|i| T::from_f64((0.6 + (i % 7) as f64 * 0.09) * if i % 2 == 0 { 1.0 } else { -1.0 }))
-            .collect();
-        let y: Vec<T> = (0..n).map(|i| T::from_f64(0.4 + (i % 11) as f64 * 0.07)).collect();
-        let (xd, yd) = (batch::decode_slice(&x), batch::decode_slice(&y));
+    fn run<T: Real>(c: &mut Criterion, label: &str) {
+        let (x, y) = dot_operands::<T>();
         c.bench_function(&format!("faults/{label}/dot_with_disarmed_point"), |b| {
-            b.iter(|| black_box(T::undec(batch::dot_decoded::<T>(black_box(&xd), &yd))))
-        });
-        c.bench_function(&format!("faults/{label}/dot_without_point"), |b| {
             b.iter(|| {
-                let mut acc = T::zero().dec();
-                for (a, b) in black_box(&xd).iter().zip(&yd) {
-                    acc = T::dec_add(acc, T::dec_mul(*a, *b));
-                }
-                black_box(T::undec(acc))
+                lpa_faults::stall(lpa_faults::SOLVER_STALL);
+                black_box(dot(black_box(&x), &y))
             })
         });
+        c.bench_function(&format!("faults/{label}/dot_without_point"), |b| {
+            b.iter(|| black_box(dot(black_box(&x), &y)))
+        });
     }
-    run::<Posit32>(c, "posit32");
-    run::<Takum32>(c, "takum32");
+    run::<Decoded<Posit32>>(c, "posit32");
+    run::<Decoded<Takum32>>(c, "takum32");
 }
 
 /// The disarmed tracing-span overhead, same shape as the fault-point pair:
-/// a decoded-dot loop whose body opens an `lpa_obs::span` (one relaxed
-/// atomic load and a branch while `LPA_OBS` is unset) against the identical
-/// loop without the span. The `bench-delta:` guard in CI asserts the pair
-/// stays within noise of each other.
+/// a decoded dot inside an `lpa_obs::span` (one relaxed atomic load and a
+/// branch while `LPA_OBS` is unset) against the identical dot without the
+/// span.
 fn bench_obs_span_overhead(c: &mut Criterion) {
-    fn run<T: BatchReal>(c: &mut Criterion, label: &str) {
-        let n = 1024;
-        let x: Vec<T> = (0..n)
-            .map(|i| T::from_f64((0.6 + (i % 7) as f64 * 0.09) * if i % 2 == 0 { 1.0 } else { -1.0 }))
-            .collect();
-        let y: Vec<T> = (0..n).map(|i| T::from_f64(0.4 + (i % 11) as f64 * 0.07)).collect();
-        let (xd, yd) = (batch::decode_slice(&x), batch::decode_slice(&y));
-        let dot = |xd: &[T::Dec], yd: &[T::Dec]| {
-            let mut acc = T::zero().dec();
-            for (a, b) in xd.iter().zip(yd) {
-                acc = T::dec_add(acc, T::dec_mul(*a, *b));
-            }
-            T::undec(acc)
-        };
+    fn run<T: Real>(c: &mut Criterion, label: &str) {
+        let (x, y) = dot_operands::<T>();
         c.bench_function(&format!("obs/{label}/dot_with_disarmed_span"), |b| {
             b.iter(|| {
                 let _span = lpa_obs::span(lpa_obs::STORE_GET);
-                black_box(dot(black_box(&xd), &yd))
+                black_box(dot(black_box(&x), &y))
             })
         });
         c.bench_function(&format!("obs/{label}/dot_without_span"), |b| {
-            b.iter(|| black_box(dot(black_box(&xd), &yd)))
+            b.iter(|| black_box(dot(black_box(&x), &y)))
         });
     }
-    run::<Posit32>(c, "posit32");
-    run::<Takum32>(c, "takum32");
+    run::<Decoded<Posit32>>(c, "posit32");
+    run::<Decoded<Takum32>>(c, "takum32");
 }
 
 fn bench_spmv(c: &mut Criterion) {
     let a64 = general::laplacian_2d(24, 24, 1.0);
-    fn run<T: lpa_arith::BatchReal>(c: &mut Criterion, a64: &CsrMatrix<f64>, label: &str) {
+    fn run<T: Real>(c: &mut Criterion, a64: &CsrMatrix<f64>, label: &str) {
         let a: CsrMatrix<T> = a64.convert();
         let x: Vec<T> = (0..a.ncols()).map(|i| T::from_f64((i % 7) as f64 * 0.1)).collect();
         let mut y = vec![T::zero(); a.nrows()];
@@ -261,14 +195,14 @@ fn bench_spmv(c: &mut Criterion) {
         });
     }
     run::<f64>(c, &a64, "float64");
-    run::<Posit16>(c, &a64, "posit16");
-    run::<Takum16>(c, &a64, "takum16");
+    run::<Decoded<Posit16>>(c, &a64, "posit16");
+    run::<Decoded<Takum16>>(c, &a64, "takum16");
     run::<Dd>(c, &a64, "float128_dd");
 }
 
 fn bench_arnoldi(c: &mut Criterion) {
     let a64 = general::laplacian_1d(64, 1.0);
-    fn run<T: lpa_arith::BatchReal>(c: &mut Criterion, a64: &CsrMatrix<f64>, label: &str, tol: f64) {
+    fn run<T: Real>(c: &mut Criterion, a64: &CsrMatrix<f64>, label: &str, tol: f64) {
         let a: CsrMatrix<T> = a64.convert();
         c.bench_function(&format!("partial_schur/{label}"), |b| {
             b.iter(|| {
@@ -278,8 +212,8 @@ fn bench_arnoldi(c: &mut Criterion) {
         });
     }
     run::<f64>(c, &a64, "float64", 1e-10);
-    run::<Posit16>(c, &a64, "posit16", 1e-4);
-    run::<Takum16>(c, &a64, "takum16", 1e-4);
+    run::<Decoded<Posit16>>(c, &a64, "posit16", 1e-4);
+    run::<Decoded<Takum16>>(c, &a64, "takum16", 1e-4);
 }
 
 /// End-to-end: a miniature (matrix × format) grid through the harness's
@@ -339,6 +273,6 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_scalars, bench_lut_vs_softfloat, bench_batch_vs_scalar, bench_gemm_planes_vs_scalar, bench_fault_point_overhead, bench_obs_span_overhead, bench_spmv, bench_arnoldi, bench_experiment_grid, bench_hungarian
+    targets = bench_scalars, bench_lut_vs_softfloat, bench_decoded_vs_encoded, bench_fault_point_overhead, bench_obs_span_overhead, bench_spmv, bench_arnoldi, bench_experiment_grid, bench_hungarian
 }
 criterion_main!(benches);

@@ -1,4 +1,4 @@
-//! Validate `run_manifest/v1` artifacts and (optionally) prove their
+//! Validate `run_manifest/v2` artifacts and (optionally) prove their
 //! timing-masked determinism — the CI consumer of `reproduce
 //! --manifest-out`.
 //!
@@ -6,7 +6,7 @@
 //! manifest_check FILE [FILE2]
 //! ```
 //!
-//! Each file is parsed and checked against the `run_manifest/v1` schema
+//! Each file is parsed and checked against the `run_manifest/v2` schema
 //! (`lpa_experiments::manifest::validate`). With two files, their
 //! timing-masked renderings — wall times and the thread knob zeroed —
 //! must additionally be byte-identical: that is the manifest determinism
@@ -28,7 +28,7 @@ fn load(path: &str) -> Value {
     let value: Value = serde_json::from_str(&text)
         .unwrap_or_else(|e| fail(&format!("{path}: invalid JSON: {e:?}")));
     match manifest::validate(&value) {
-        Ok(()) => println!("manifest: {path} is a valid run_manifest/v1"),
+        Ok(()) => println!("manifest: {path} is a valid run_manifest/v2"),
         Err(e) => fail(&format!("{path}: schema violation: {e}")),
     }
     value

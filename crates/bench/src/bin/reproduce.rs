@@ -3,8 +3,7 @@
 //! ```text
 //! cargo run --release -p lpa-bench --bin reproduce -- \
 //!     [--experiment figureN|table1|all] [--scale K] [--size-max N] [--matrices M] \
-//!     [--store DIR] [--threads T] [--arith-tier unpack|softfloat] \
-//!     [--kernel-batch batch|scalar] [--retry N] [--cell-deadline-ms MS] \
+//!     [--store DIR] [--threads T] [--retry N] [--cell-deadline-ms MS] \
 //!     [--obs on|off] [--manifest-out FILE]
 //! ```
 //!
@@ -65,9 +64,6 @@ fn main() {
             "--matrices" => overrides.matrices = Some(parsed_flag(&args, i)),
             "--store" => overrides.store_dir = Some(flag_value(&args, i).into()),
             "--threads" => overrides.threads = Some(parsed_flag(&args, i)),
-            "--arith-tier" => overrides.arith_tier = Some(parsed_flag(&args, i)),
-            "--kernel-batch" => overrides.kernel_batch = Some(parsed_flag(&args, i)),
-            "--kernel-lanes" => overrides.kernel_lanes = Some(parsed_flag(&args, i)),
             "--retry" => overrides.retry = Some(parsed_flag(&args, i)),
             "--cell-deadline-ms" => overrides.cell_deadline_ms = Some(parsed_flag(&args, i)),
             "--obs" => {

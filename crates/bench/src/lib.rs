@@ -8,7 +8,7 @@
 //! [`lpa_experiments::ExperimentPlan`] — configured by resolved
 //! [`HarnessSettings`]: the benches resolve from the environment alone
 //! (`LPA_BENCH_SCALE`, `LPA_BENCH_SIZE_MAX`, `LPA_BENCH_MATRICES`,
-//! `LPA_STORE`, `LPA_ARITH_TIER`), while the `reproduce` binary layers its
+//! `LPA_STORE`, `LPA_OBS`, …), while the `reproduce` binary layers its
 //! CLI flags on top via [`PlanOverrides`] (flag > env > default, see
 //! `lpa_experiments::harness`). Harness sizes are kept small enough for a
 //! laptop run by default.

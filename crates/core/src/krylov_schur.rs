@@ -9,8 +9,8 @@
 //! in OFP8, bfloat16, float16, float32/64, posits, takums and the
 //! double-double reference format.
 
-use lpa_arith::{batch, BatchReal, PlaneStore, Real};
-use lpa_dense::blas::{axpy, axpy_planes, dot, dot_planes, normalize, nrm2, scal_planes};
+use lpa_arith::Real;
+use lpa_dense::blas::{axpy, dot, normalize, nrm2};
 use lpa_dense::ordschur::reorder_schur;
 use lpa_dense::schur::{block_structure, eigenvalues_of_quasi_triangular, schur};
 use lpa_dense::{Complex, DMatrix};
@@ -18,13 +18,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::error::ArnoldiError;
-use crate::operator::BatchOperator;
+use crate::operator::LinearOperator;
 use crate::options::{ArnoldiOptions, Which};
 use crate::result::{History, PartialSchur};
-
-/// The element type the projected dense phase runs at (see
-/// [`BatchReal::Dense`]).
-type Dense<T> = <T as BatchReal>::Dense;
 
 /// Compute a partial Schur decomposition `A Q ≈ Q R` targeting the part of
 /// the spectrum selected by `opts.which`.
@@ -33,32 +29,15 @@ type Dense<T> = <T as BatchReal>::Dense;
 /// precision) and the columns of `Q` are the eigenvectors, which is exactly
 /// how the paper extracts eigenpairs.
 ///
-/// ## The batch kernel engine
+/// ## Element types
 ///
-/// When `lpa_arith::kernel_batch_enabled()` (the default; see the
-/// `LPA_KERNEL_BATCH` knob) and the scalar format profits from
-/// pre-decoding, the expansion hot loop runs through a decoded workspace:
-/// the operator is applied via [`BatchOperator::apply_dec`] (so a
-/// [`lpa_sparse::CsrDecoded`] operator's matrix values are decoded once
-/// per run, not once per SpMV), the Krylov basis keeps decoded shadows of
-/// its columns that are updated on write, and the Gram-Schmidt
-/// dot/axpy/scale passes run the decoded-domain kernels.  Results are
-/// bit-identical to the scalar engine by the batch engine's contract
-/// (every operation still rounds to the format's grid), which the
-/// `lpa_experiments` end-to-end grid test enforces.  The knob covers the
-/// expansion only.
-///
-/// ## The projected dense phase
-///
-/// `schur` of the projected matrix and both `reorder_schur` calls run at
-/// the format's dense element type, [`BatchReal::Dense`]:
-/// [`lpa_arith::Decoded<T>`] for the posit and takum formats (`b` and the
-/// spike are decoded once per restart and the Schur factors encoded once,
-/// so the Householder and Givens chains in between never touch a bit
-/// pattern), `T` itself for the IEEE, 8-bit and native formats.  The
-/// choice is made by type, not by a runtime knob; both element types give
-/// identical bits.
-pub fn partial_schur<T: BatchReal, Op: BatchOperator<T> + ?Sized>(
+/// The solver is one generic body.  The experiment pipeline instantiates
+/// it at [`lpa_arith::Decoded<T>`] for the emulated 16/32/64-bit formats,
+/// so the matrix values, the Krylov basis and the projected Schur phase
+/// all stay decoded for the whole solve, and at the format type itself
+/// for the 8-bit, native and double-double formats.  Both instantiations
+/// of an emulated format give identical bits (`tests/decoded_solve.rs`).
+pub fn partial_schur<T: Real, Op: LinearOperator<T> + ?Sized>(
     op: &Op,
     opts: &ArnoldiOptions,
 ) -> Result<(PartialSchur<T>, History), ArnoldiError> {
@@ -74,7 +53,7 @@ pub fn partial_schur<T: BatchReal, Op: BatchOperator<T> + ?Sized>(
     }
     let nev = opts.nev;
     let m = opts.resolved_max_dim(n);
-    let tol = Dense::<T>::from_f64(opts.tol);
+    let tol = T::from_f64(opts.tol);
 
     // Krylov basis (m + 1 columns), projected matrix and spike.
     let mut v = DMatrix::<T>::zeros(n, m + 1);
@@ -104,21 +83,6 @@ pub fn partial_schur<T: BatchReal, Op: BatchOperator<T> + ?Sized>(
     let mut w = vec![T::zero(); n];
     let mut h_buf = vec![T::zero(); m];
 
-    // The batch-engine workspace: struct-of-arrays plane shadows of the
-    // basis columns and the step buffers, owned for the whole run so the
-    // basis is decoded once per write instead of once per read.  Scalar
-    // formats whose decoded form is their bit pattern skip the bookkeeping
-    // entirely.
-    let use_batch = T::DECODED && batch::kernel_batch_enabled();
-    let zero_dec = T::zero().dec();
-    let cold = T::Planes::with_len(if use_batch { n } else { 0 });
-    let mut v_dec: Vec<T::Planes> = vec![cold.clone(); if use_batch { m + 1 } else { 0 }];
-    let mut w_dec: T::Planes = cold;
-    let mut h_dec_buf: Vec<T::Dec> = if use_batch { vec![zero_dec; m] } else { Vec::new() };
-    if use_batch {
-        v_dec[0].decode_from(v.col(0));
-    }
-
     for restart in 0..opts.max_restarts {
         // Fault point: makes "a cell that hangs" injectable so the
         // harness's deadline machinery can be exercised deterministically.
@@ -139,39 +103,17 @@ pub fn partial_schur<T: BatchReal, Op: BatchOperator<T> + ?Sized>(
             // Classical Gram-Schmidt with one full re-orthogonalization
             // pass (DGKS-style), which is what keeps the basis usable in
             // the very low precision formats; both passes accumulate into
-            // the same coefficient slice.  The two engines run the same
-            // operation sequence — the batch engine merely reads the
-            // pre-decoded shadows and defers the bit-pattern encode of `w`
-            // and `h` to the end of the step.
+            // the same coefficient slice.  `apply` fully overwrites `w`
+            // (it computes y = A x), so no clearing is needed between
+            // steps.
             let h = &mut h_buf[..j + 1];
-            if use_batch {
-                // `apply_planes` fully overwrites `w_dec` (same contract as
-                // `apply`).
-                op.apply_planes(&v_dec[j], &mut w_dec);
-                let hd = &mut h_dec_buf[..j + 1];
-                hd.fill(zero_dec);
-                for _pass in 0..2 {
-                    for (i, hi) in hd.iter_mut().enumerate() {
-                        let c = dot_planes::<T>(&v_dec[i], &w_dec);
-                        axpy_planes::<T>(T::dec_neg(c), &v_dec[i], &mut w_dec);
-                        *hi = T::dec_add(*hi, c);
-                    }
-                }
-                for (hb, hd) in h.iter_mut().zip(hd.iter()) {
-                    *hb = T::undec(*hd);
-                }
-                w_dec.encode_into(&mut w);
-            } else {
-                // `apply` fully overwrites `w` (it computes y = A x), so no
-                // clearing is needed between steps.
-                op.apply(v.col(j), &mut w);
-                h.fill(T::zero());
-                for _pass in 0..2 {
-                    for (i, hi) in h.iter_mut().enumerate() {
-                        let c = dot(v.col(i), &w);
-                        axpy(-c, v.col(i), &mut w);
-                        *hi += c;
-                    }
+            op.apply(v.col(j), &mut w);
+            h.fill(T::zero());
+            for _pass in 0..2 {
+                for (i, hi) in h.iter_mut().enumerate() {
+                    let c = dot(v.col(i), &w);
+                    axpy(-c, v.col(i), &mut w);
+                    *hi += c;
                 }
             }
             matvecs += 1;
@@ -206,48 +148,27 @@ pub fn partial_schur<T: BatchReal, Op: BatchOperator<T> + ?Sized>(
                     return Err(ArnoldiError::NonFinite);
                 }
                 v.col_mut(j + 1).copy_from_slice(&w);
-                if use_batch {
-                    // The fresh random direction was built on the encoded
-                    // side; refresh its shadow.
-                    v_dec[j + 1].decode_from(&w);
-                }
             } else {
                 spike[j] = beta;
                 let inv = beta.recip();
-                let wcol = v.col_mut(j + 1);
-                if use_batch {
-                    // Scale in the decoded domain (`w_dec` is dead after
-                    // this step) and write both sides of the new basis
-                    // column — the shadow update is free because the
-                    // scaled values are already decoded.
-                    scal_planes::<T>(inv.dec(), &mut w_dec);
-                    v_dec[j + 1].clone_from(&w_dec);
-                    w_dec.encode_into(wcol);
-                } else {
-                    for (dst, src) in wcol.iter_mut().zip(&w) {
-                        *dst = *src * inv;
-                    }
+                for (dst, src) in v.col_mut(j + 1).iter_mut().zip(&w) {
+                    *dst = *src * inv;
                 }
             }
         }
 
         // --- Projected Schur form --------------------------------------
-        // Everything from here to the basis update runs at the dense
-        // element type: decode `b` and the spike once, encode what leaves
-        // the phase (`Z`'s kept columns, `T`'s kept block, the new spike).
-        let bd = b.map(T::to_dense);
-        let spike_d: Vec<Dense<T>> = spike.iter().map(|&x| x.to_dense()).collect();
-        let sch = schur(&bd)?;
+        let sch = schur(&b)?;
         let mut t = sch.t;
         let mut z = sch.z;
 
         // Transformed spike: residual norms of the Schur vectors.
-        let w_spike = |z: &DMatrix<Dense<T>>| -> Vec<Dense<T>> {
+        let w_spike = |z: &DMatrix<T>| -> Vec<T> {
             (0..m)
                 .map(|i| {
-                    let mut s = Dense::<T>::zero();
+                    let mut s = T::zero();
                     for j in 0..m {
-                        s += spike_d[j] * z[(j, i)];
+                        s += spike[j] * z[(j, i)];
                     }
                     s
                 })
@@ -258,16 +179,16 @@ pub fn partial_schur<T: BatchReal, Op: BatchOperator<T> + ?Sized>(
         // Block structure, eigenvalues and residual estimates.
         let blocks = block_structure(&t);
         let eigs = eigenvalues_of_quasi_triangular(&t);
-        let scale_floor = Dense::<T>::epsilon() * bd.frobenius_norm().max(Dense::<T>::one());
+        let scale_floor = T::epsilon() * b.frobenius_norm().max(T::one());
         struct BlockInfo<T> {
             size: usize,
             modulus: T,
             real: T,
             converged: bool,
         }
-        let mut infos: Vec<BlockInfo<Dense<T>>> = Vec::with_capacity(blocks.len());
+        let mut infos: Vec<BlockInfo<T>> = Vec::with_capacity(blocks.len());
         for &(start, size) in blocks.iter() {
-            let lambda: Complex<Dense<T>> = eigs[start];
+            let lambda: Complex<T> = eigs[start];
             let modulus = lambda.abs();
             let residual = if size == 1 {
                 w[start].abs()
@@ -287,7 +208,7 @@ pub fn partial_schur<T: BatchReal, Op: BatchOperator<T> + ?Sized>(
         let mut order: Vec<usize> = (0..infos.len()).collect();
         order.sort_by(|&a, &bq| {
             let (ia, ib) = (&infos[a], &infos[bq]);
-            let key = |i: &BlockInfo<Dense<T>>| match opts.which {
+            let key = |i: &BlockInfo<T>| match opts.which {
                 Which::LargestMagnitude | Which::SmallestMagnitude => i.modulus,
                 Which::LargestReal | Which::SmallestReal => i.real,
             };
@@ -328,30 +249,12 @@ pub fn partial_schur<T: BatchReal, Op: BatchOperator<T> + ?Sized>(
                 select[bi] = true;
             }
             let rows = reorder_schur(&mut t, &mut z, &select)?;
-            // Q = V_m * Z[:, 0..rows]; under the batch engine the product
-            // runs in the decoded domain over the basis shadows
-            // (bit-identical to the encoded matmul by `gemm_planes`'
-            // contract).
-            let zk = z.truncate_columns(rows).map(T::from_dense);
-            let q = if use_batch {
-                let zk_cols: Vec<&[T]> = (0..rows).map(|c| zk.col(c)).collect();
-                let cols = batch::gemm_planes::<T>(n, &v_dec[..m], &zk_cols);
-                let mut q = DMatrix::<T>::zeros(n, rows);
-                for (c, p) in cols.iter().enumerate() {
-                    p.encode_into(q.col_mut(c));
-                }
-                q
-            } else {
-                v.truncate_columns(m).matmul(&zk)
-            };
+            // Q = V_m * Z[:, 0..rows].
+            let q = v.truncate_columns(m).matmul(&z.truncate_columns(rows));
             let r = t.submatrix(0, 0, rows, rows);
             // Eigenvalues in the order of R's diagonal blocks, so that
             // eigenvalue i corresponds to Schur vector column i.
-            let eigenvalues = eigenvalues_of_quasi_triangular(&r)
-                .into_iter()
-                .map(|c| Complex::new(T::from_dense(c.re), T::from_dense(c.im)))
-                .collect();
-            let r = r.map(T::from_dense);
+            let eigenvalues = eigenvalues_of_quasi_triangular(&r);
             let residuals = w_spike(&z)[..rows].iter().map(|x| x.to_f64()).collect();
             return Ok((
                 PartialSchur { q, r, eigenvalues },
@@ -372,61 +275,25 @@ pub fn partial_schur<T: BatchReal, Op: BatchOperator<T> + ?Sized>(
         }
         let rows = reorder_schur(&mut t, &mut z, &select)?;
         debug_assert_eq!(rows, keep_rows);
-        let zk = z.truncate_columns(rows).map(T::from_dense);
-
         // New basis: V[:, 0..rows] = V_m Z[:, 0..rows], V[:, rows] = v_{m+1}.
-        if use_batch {
-            // The product runs in the decoded domain over the basis
-            // shadows, and the fresh columns it produces *are* the new
-            // shadows — the old refresh pass (re-decoding every rewritten
-            // column from its encoded side) is gone, the encode below is
-            // the only crossing.  Bit-identical to the dense matmul by
-            // `gemm_planes`' contract.
-            let zk_cols: Vec<&[T]> = (0..rows).map(|c| zk.col(c)).collect();
-            let new_planes = batch::gemm_planes::<T>(n, &v_dec[..m], &zk_cols);
-            for (c, p) in new_planes.into_iter().enumerate() {
-                p.encode_into(v.col_mut(c));
-                v_dec[c] = p;
-            }
-            if rows < m {
-                let (head, tail) = v_dec.split_at_mut(m);
-                head[rows].clone_from(&tail[0]);
-            }
-        } else {
-            let vm = v.truncate_columns(m);
-            let new_basis = vm.matmul(&zk);
-            for c in 0..rows {
-                v.col_mut(c).copy_from_slice(new_basis.col(c));
-            }
+        let new_basis = v.truncate_columns(m).matmul(&z.truncate_columns(rows));
+        for c in 0..rows {
+            v.col_mut(c).copy_from_slice(new_basis.col(c));
         }
         let last = v.col(m).to_vec();
         v.col_mut(rows).copy_from_slice(&last);
-        #[cfg(debug_assertions)]
-        if use_batch {
-            // The shadow invariant the expansion loop relies on:
-            // v_dec[c] == decode(v.col(c)) for every live column.
-            for (c, vc) in v_dec.iter().enumerate().take(rows + 1) {
-                for (i, xc) in v.col(c).iter().enumerate() {
-                    debug_assert_eq!(
-                        vc.get(i),
-                        xc.dec(),
-                        "basis shadow diverged at column {c}, row {i}"
-                    );
-                }
-            }
-        }
 
         // New projected matrix and spike.
         let wz = w_spike(&z);
         let mut new_b = DMatrix::<T>::zeros(m, m);
         for j in 0..rows {
             for i in 0..rows {
-                new_b[(i, j)] = T::from_dense(t[(i, j)]);
+                new_b[(i, j)] = t[(i, j)];
             }
         }
         b = new_b;
         for i in 0..m {
-            spike[i] = if i < rows { T::from_dense(wz[i]) } else { T::zero() };
+            spike[i] = if i < rows { wz[i] } else { T::zero() };
         }
         k = rows;
     }

@@ -1,8 +1,8 @@
 //! The linear operator abstraction the Arnoldi method iterates with.
 
-use lpa_arith::{batch, BatchReal, PlaneStore, Real};
+use lpa_arith::Real;
 use lpa_dense::DMatrix;
-use lpa_sparse::{CsrDecoded, CsrMatrix};
+use lpa_sparse::CsrMatrix;
 
 /// Anything that can apply itself to a vector (`y = A x`).
 ///
@@ -20,40 +20,6 @@ pub trait LinearOperator<T: Real> {
     fn apply(&self, x: &[T], y: &mut [T]);
 }
 
-/// A linear operator that can also apply itself to **pre-decoded**
-/// vectors — the hook of the batch kernel engine (`lpa_arith::batch`).
-///
-/// `apply_dec` must be bit-identical to `apply` on the encoded values.
-/// The provided default round-trips through the encoded form, which is
-/// correct for any operator but pays the decode it exists to avoid; the
-/// matrix impls below override it with decoded-domain products (and
-/// [`CsrDecoded`] additionally caches its value decodes), so no operator
-/// in this workspace takes the round trip.
-pub trait BatchOperator<T: BatchReal>: LinearOperator<T> {
-    /// Compute `y = A x` over decoded shadows (same overwrite contract as
-    /// [`LinearOperator::apply`]).
-    fn apply_dec(&self, x: &[T::Dec], y: &mut [T::Dec]) {
-        let mut xb = vec![T::zero(); x.len()];
-        batch::encode_slice_into(x, &mut xb);
-        let mut yb = vec![T::zero(); y.len()];
-        self.apply(&xb, &mut yb);
-        batch::decode_slice_into(&yb, y);
-    }
-
-    /// Compute `y = A x` over plane stores (same overwrite contract as
-    /// [`LinearOperator::apply`]) — the struct-of-arrays hook the solver's
-    /// lane-blocked workspace calls.  Must be bit-identical to `apply` on
-    /// the encoded values; the default round-trips through the encoded
-    /// form, the matrix impls below run in the decoded domain directly.
-    fn apply_planes(&self, x: &T::Planes, y: &mut T::Planes) {
-        let mut xb = vec![T::zero(); x.len()];
-        x.encode_into(&mut xb);
-        let mut yb = vec![T::zero(); y.len()];
-        self.apply(&xb, &mut yb);
-        y.decode_from(&yb);
-    }
-}
-
 impl<T: Real> LinearOperator<T> for CsrMatrix<T> {
     fn dim(&self) -> usize {
         assert!(self.is_square(), "operator must be square");
@@ -62,49 +28,6 @@ impl<T: Real> LinearOperator<T> for CsrMatrix<T> {
 
     fn apply(&self, x: &[T], y: &mut [T]) {
         self.spmv(x, y);
-    }
-}
-
-impl<T: BatchReal> BatchOperator<T> for CsrMatrix<T> {
-    /// The flat SpMV pass of [`CsrMatrix::spmv`] in the decoded domain:
-    /// the matrix value is decoded per non-zero (no cache on a plain CSR;
-    /// wrap in [`CsrDecoded`] for the decode-once form), but `x` is read
-    /// pre-decoded and `y` stays decoded — same accumulation order, so
-    /// bit-identical to the scalar product.
-    fn apply_dec(&self, x: &[T::Dec], y: &mut [T::Dec]) {
-        assert_eq!(x.len(), self.ncols());
-        assert_eq!(y.len(), self.nrows());
-        let zero = T::zero().dec();
-        let mut start = self.row_ptr()[0];
-        for (yi, &end) in y.iter_mut().zip(&self.row_ptr()[1..]) {
-            let mut acc = zero;
-            for (&j, &v) in
-                self.col_indices()[start..end].iter().zip(&self.values()[start..end])
-            {
-                acc = T::dec_add(acc, T::dec_mul(v.dec(), x[j]));
-            }
-            *yi = acc;
-            start = end;
-        }
-    }
-
-    /// The same flat pass reading `x` from (and writing `y` to) plane
-    /// stores; the matrix value is still decoded per non-zero.
-    fn apply_planes(&self, x: &T::Planes, y: &mut T::Planes) {
-        assert_eq!(x.len(), self.ncols());
-        assert_eq!(y.len(), self.nrows());
-        let zero = T::zero().dec();
-        let mut start = self.row_ptr()[0];
-        for (r, &end) in self.row_ptr()[1..].iter().enumerate() {
-            let mut acc = zero;
-            for (&j, &v) in
-                self.col_indices()[start..end].iter().zip(&self.values()[start..end])
-            {
-                acc = T::dec_add(acc, T::dec_mul(v.dec(), x.get(j)));
-            }
-            y.set(r, acc);
-            start = end;
-        }
     }
 }
 
@@ -120,99 +43,9 @@ impl<T: Real> LinearOperator<T> for DMatrix<T> {
     }
 }
 
-impl<T: BatchReal> BatchOperator<T> for DMatrix<T> {
-    /// [`DMatrix::matvec`]'s column-major accumulation (including its
-    /// skip of zero `x` entries) in the decoded domain — bit-identical to
-    /// the scalar product.
-    fn apply_dec(&self, x: &[T::Dec], y: &mut [T::Dec]) {
-        assert_eq!(x.len(), self.ncols());
-        assert_eq!(y.len(), self.nrows());
-        y.fill(T::zero().dec());
-        for (j, &xj) in x.iter().enumerate() {
-            if T::dec_is_zero(xj) {
-                continue;
-            }
-            for (yi, &aij) in y.iter_mut().zip(self.col(j)) {
-                *yi = T::dec_add(*yi, T::dec_mul(aij.dec(), xj));
-            }
-        }
-    }
-
-    /// The same column-major pass over plane stores.
-    fn apply_planes(&self, x: &T::Planes, y: &mut T::Planes) {
-        assert_eq!(x.len(), self.ncols());
-        assert_eq!(y.len(), self.nrows());
-        y.fill_zero();
-        for j in 0..self.ncols() {
-            let xj = x.get(j);
-            if T::dec_is_zero(xj) {
-                continue;
-            }
-            for (i, &aij) in self.col(j).iter().enumerate() {
-                y.set(i, T::dec_add(y.get(i), T::dec_mul(aij.dec(), xj)));
-            }
-        }
-    }
-}
-
-impl<T: BatchReal> LinearOperator<T> for CsrDecoded<T> {
-    fn dim(&self) -> usize {
-        assert!(self.is_square(), "operator must be square");
-        self.nrows()
-    }
-
-    fn apply(&self, x: &[T], y: &mut [T]) {
-        // The scalar path ignores the decoded shadows entirely, so the
-        // scalar-engine reference runs are untouched by the cache.
-        self.csr().spmv(x, y);
-    }
-}
-
-impl<T: BatchReal> BatchOperator<T> for CsrDecoded<T> {
-    fn apply_dec(&self, x: &[T::Dec], y: &mut [T::Dec]) {
-        self.spmv_decoded(x, y);
-    }
-
-    fn apply_planes(&self, x: &T::Planes, y: &mut T::Planes) {
-        self.spmv_planes(x, y);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lpa_arith::Real;
-
-    #[test]
-    fn apply_dec_matches_apply_for_plain_matrices() {
-        use lpa_arith::types::Posit32;
-        let s = CsrMatrix::<Posit32>::from_dense_fn(4, 4, |i, j| {
-            Posit32::from_f64(if (i + j) % 2 == 0 { 0.31 * i as f64 - 0.7 * j as f64 } else { 0.0 })
-        });
-        let d = s.to_dense();
-        let dec = CsrDecoded::new(s.clone());
-        let x: Vec<Posit32> = (0..4).map(|i| Posit32::from_f64(0.4 * i as f64 - 0.9)).collect();
-        let xd = batch::decode_slice(&x);
-        let mut y = vec![Posit32::zero(); 4];
-        let mut yd = vec![Posit32::zero().dec(); 4];
-        type P = <Posit32 as BatchReal>::Planes;
-        let xp = <P as PlaneStore<Posit32>>::decode(&x);
-        let mut yp = <P as PlaneStore<Posit32>>::with_len(4);
-        for op in [&s as &dyn BatchOperator<Posit32>, &d, &dec] {
-            op.apply(&x, &mut y);
-            op.apply_dec(&xd, &mut yd);
-            for (a, b) in yd.iter().zip(&y) {
-                assert_eq!(Posit32::undec(*a).to_bits(), b.to_bits());
-            }
-            op.apply_planes(&xp, &mut yp);
-            for (i, b) in y.iter().enumerate() {
-                assert_eq!(
-                    Posit32::undec(<P as PlaneStore<Posit32>>::get(&yp, i)).to_bits(),
-                    b.to_bits()
-                );
-            }
-        }
-    }
 
     #[test]
     fn sparse_and_dense_agree() {

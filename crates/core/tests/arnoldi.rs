@@ -140,7 +140,7 @@ fn works_in_double_double_reference_arithmetic() {
 
 #[test]
 fn works_in_low_precision_formats() {
-    fn run<T: lpa_arith::BatchReal>(tol: f64) -> Vec<f64> {
+    fn run<T: lpa_arith::Real>(tol: f64) -> Vec<f64> {
         let a = laplacian_1d(48).convert::<T>();
         // Starting-vector seed chosen to converge for every format under the
         // vendored rand stream (like any IRAM run, individual unlucky seeds

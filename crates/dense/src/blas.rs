@@ -1,63 +1,31 @@
-//! BLAS-1/2 style kernels generic over [`Real`].
+//! BLAS-1 style kernels generic over [`Real`].
 //!
 //! The 2-norm uses a scaled one-pass accumulation so that it neither
 //! overflows nor underflows the narrow formats' dynamic range — the same
 //! robustness the paper's Julia stack inherits from its `norm`
 //! implementation.
-//!
-//! `dot` and `axpy` — the kernels whose operands the Krylov loops re-read
-//! — route through `lpa_arith::batch`: when the batch kernel engine is
-//! enabled (the default, see `LPA_KERNEL_BATCH`) the emulated formats
-//! pre-decode their operands and run the decoded-domain kernels, which are
-//! bit-identical to the scalar loops but skip the per-operation bit-pattern
-//! round trips.  The decoded counterparts ([`dot_decoded`],
-//! [`axpy_decoded`], [`scal_decoded`]) work on already-cached shadows —
-//! `lpa_arnoldi`'s Gram-Schmidt passes and basis-column scaling call them
-//! directly.
 
-use lpa_arith::{batch, BatchReal, Real};
+use lpa_arith::Real;
 
-/// Dot product (batch-engine routed, see the module docs).
-pub fn dot<T: BatchReal>(x: &[T], y: &[T]) -> T {
+/// Dot product.
+pub fn dot<T: Real>(x: &[T], y: &[T]) -> T {
     debug_assert_eq!(x.len(), y.len());
-    batch::dot_slice(x, y)
+    let mut acc = T::zero();
+    for (a, b) in x.iter().zip(y) {
+        acc += *a * *b;
+    }
+    acc
 }
 
-/// Dot product over pre-decoded shadows; returns the decoded accumulator.
-pub fn dot_decoded<T: BatchReal>(x: &[T::Dec], y: &[T::Dec]) -> T::Dec {
-    batch::dot_decoded::<T>(x, y)
-}
-
-/// `y += alpha * x` (batch-engine routed, see the module docs).
-pub fn axpy<T: BatchReal>(alpha: T, x: &[T], y: &mut [T]) {
+/// `y += alpha * x`.
+pub fn axpy<T: Real>(alpha: T, x: &[T], y: &mut [T]) {
     debug_assert_eq!(x.len(), y.len());
-    batch::axpy_slice(alpha, x, y)
-}
-
-/// `y += alpha * x` over pre-decoded shadows.
-pub fn axpy_decoded<T: BatchReal>(alpha: T::Dec, x: &[T::Dec], y: &mut [T::Dec]) {
-    batch::axpy_decoded::<T>(alpha, x, y)
-}
-
-/// `x *= alpha` over pre-decoded shadows.
-pub fn scal_decoded<T: BatchReal>(alpha: T::Dec, x: &mut [T::Dec]) {
-    batch::scale_decoded::<T>(alpha, x)
-}
-
-/// Dot product over plane stores ([`lpa_arith::PlaneStore`]); returns the
-/// decoded accumulator.  Bit-identical to [`dot`] on the encoded values.
-pub fn dot_planes<T: BatchReal>(x: &T::Planes, y: &T::Planes) -> T::Dec {
-    batch::dot_planes::<T>(x, y)
-}
-
-/// `y += alpha * x` over plane stores; bit-identical to [`axpy`].
-pub fn axpy_planes<T: BatchReal>(alpha: T::Dec, x: &T::Planes, y: &mut T::Planes) {
-    batch::axpy_planes::<T>(alpha, x, y)
-}
-
-/// `x *= alpha` over plane stores; bit-identical to [`scal`].
-pub fn scal_planes<T: BatchReal>(alpha: T::Dec, x: &mut T::Planes) {
-    batch::scale_planes::<T>(alpha, x)
+    if alpha.is_zero() {
+        return;
+    }
+    for (yi, xi) in y.iter_mut().zip(x) {
+        *yi += alpha * *xi;
+    }
 }
 
 /// `x *= alpha`.
@@ -116,19 +84,6 @@ pub fn normalize<T: Real>(x: &mut [T]) -> T {
     n
 }
 
-/// Dense general matrix-vector product `y = alpha * A * x + beta * y` with
-/// `A` given as a closure over column slices (used by tests); the dense
-/// matrix type has its own `matvec`.
-pub fn gemv_cols<T: BatchReal>(cols: &[&[T]], alpha: T, x: &[T], beta: T, y: &mut [T]) {
-    for yi in y.iter_mut() {
-        *yi *= beta;
-    }
-    for (j, col) in cols.iter().enumerate() {
-        let s = alpha * x[j];
-        axpy(s, col, y);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,14 +135,5 @@ mod tests {
         // Zero vectors are left untouched.
         let mut z = vec![Posit16::from_f64(0.0); 3];
         assert!(normalize(&mut z).is_zero());
-    }
-
-    #[test]
-    fn gemv_cols_matches_manual() {
-        let c0 = [1.0f64, 0.0];
-        let c1 = [0.0f64, 2.0];
-        let mut y = [1.0f64, 1.0];
-        gemv_cols(&[&c0, &c1], 2.0, &[3.0, 4.0], 1.0, &mut y);
-        assert_eq!(y, [7.0, 17.0]);
     }
 }

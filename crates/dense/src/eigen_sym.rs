@@ -5,7 +5,7 @@
 //! test oracle and for the `ablation_symmetric` benchmark that checks the
 //! general path is not responsible for the observed format ranking.
 
-use lpa_arith::{BatchReal, Real};
+use lpa_arith::Real;
 
 use crate::error::DenseError;
 use crate::householder::Householder;
@@ -14,7 +14,7 @@ use crate::matrix::DMatrix;
 /// Tridiagonalize a symmetric matrix: returns `(d, e, Q)` with diagonal `d`,
 /// off-diagonal `e` (length n-1) and orthogonal `Q` such that
 /// `A = Q T Q^T`.
-pub fn tridiagonalize<T: BatchReal>(a: &DMatrix<T>) -> (Vec<T>, Vec<T>, DMatrix<T>) {
+pub fn tridiagonalize<T: Real>(a: &DMatrix<T>) -> (Vec<T>, Vec<T>, DMatrix<T>) {
     assert!(a.is_square());
     let n = a.nrows();
     let mut m = a.clone();
@@ -137,14 +137,14 @@ fn hypot<T: Real>(a: T, b: T) -> T {
 /// Eigenvalues and eigenvectors of a symmetric matrix.  Returns `(values,
 /// vectors)` where column `j` of `vectors` is the eigenvector for
 /// `values[j]` (unordered).
-pub fn symmetric_eigen<T: BatchReal>(a: &DMatrix<T>) -> Result<(Vec<T>, DMatrix<T>), DenseError> {
+pub fn symmetric_eigen<T: Real>(a: &DMatrix<T>) -> Result<(Vec<T>, DMatrix<T>), DenseError> {
     let (mut d, mut e, mut q) = tridiagonalize(a);
     tridiagonal_ql(&mut d, &mut e, &mut q)?;
     Ok((d, q))
 }
 
 /// Eigenvalues only.
-pub fn symmetric_eigenvalues<T: BatchReal>(a: &DMatrix<T>) -> Result<Vec<T>, DenseError> {
+pub fn symmetric_eigenvalues<T: Real>(a: &DMatrix<T>) -> Result<Vec<T>, DenseError> {
     symmetric_eigen(a).map(|(d, _)| d)
 }
 

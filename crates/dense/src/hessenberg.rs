@@ -1,6 +1,6 @@
 //! Reduction of a square matrix to upper Hessenberg form.
 
-use lpa_arith::{BatchReal, Real};
+use lpa_arith::Real;
 
 use crate::householder::Householder;
 use crate::matrix::DMatrix;
@@ -10,7 +10,7 @@ use crate::matrix::DMatrix;
 /// The Krylov–Schur restart produces projected matrices that are upper
 /// triangular plus a spike row, so the Schur solver first restores Hessenberg
 /// form with this routine before running the Francis iteration.
-pub fn hessenberg<T: BatchReal>(a: &DMatrix<T>) -> (DMatrix<T>, DMatrix<T>) {
+pub fn hessenberg<T: Real>(a: &DMatrix<T>) -> (DMatrix<T>, DMatrix<T>) {
     assert!(a.is_square());
     let n = a.nrows();
     let mut h = a.clone();

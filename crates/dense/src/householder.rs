@@ -2,7 +2,7 @@
 
 use core::ops::Range;
 
-use lpa_arith::BatchReal;
+use lpa_arith::Real;
 
 use crate::blas::{dot, nrm2};
 use crate::matrix::DMatrix;
@@ -15,7 +15,7 @@ pub struct Householder<T> {
     pub beta: T,
 }
 
-impl<T: BatchReal> Householder<T> {
+impl<T: Real> Householder<T> {
     /// Reflector that maps `x` onto `beta * e1` (LAPACK `dlarfg`-style).
     ///
     /// The input is rescaled by its largest magnitude before squaring so that
@@ -110,7 +110,7 @@ impl<T: BatchReal> Householder<T> {
 
 /// QR factorization by Householder reflections: returns `(Q, R)` with
 /// `Q` orthogonal (`m x m`) and `R` upper triangular (`m x n`).
-pub fn qr<T: BatchReal>(a: &DMatrix<T>) -> (DMatrix<T>, DMatrix<T>) {
+pub fn qr<T: Real>(a: &DMatrix<T>) -> (DMatrix<T>, DMatrix<T>) {
     let m = a.nrows();
     let n = a.ncols();
     let mut r = a.clone();
@@ -131,7 +131,7 @@ pub fn qr<T: BatchReal>(a: &DMatrix<T>) -> (DMatrix<T>, DMatrix<T>) {
 
 /// Thin QR: orthonormalize the columns of `a`, returning `(Q_thin, R)` with
 /// `Q_thin` of the same shape as `a`.
-pub fn thin_qr<T: BatchReal>(a: &DMatrix<T>) -> (DMatrix<T>, DMatrix<T>) {
+pub fn thin_qr<T: Real>(a: &DMatrix<T>) -> (DMatrix<T>, DMatrix<T>) {
     let (q, r) = qr(a);
     (q.truncate_columns(a.ncols()), r.submatrix(0, 0, a.ncols(), a.ncols()))
 }

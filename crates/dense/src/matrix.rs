@@ -149,10 +149,7 @@ impl<T: Real> DMatrix<T> {
     }
 
     /// `self^T * other`.
-    pub fn transpose_matmul(&self, other: &Self) -> Self
-    where
-        T: lpa_arith::BatchReal,
-    {
+    pub fn transpose_matmul(&self, other: &Self) -> Self {
         assert_eq!(self.nrows, other.nrows);
         Self::from_fn(self.ncols, other.ncols, |i, j| {
             crate::blas::dot(self.col(i), other.col(j))
@@ -188,8 +185,8 @@ impl<T: Real> DMatrix<T> {
         m
     }
 
-    /// Element-wise exact conversion, e.g. between a format and its
-    /// dense-phase element type (`lpa_arith::BatchReal::to_dense`).
+    /// Element-wise conversion by `f`, e.g. the exact one between a format
+    /// and its decoded form (`lpa_arith::Decoded::decode`).
     pub fn map<U: Real>(&self, f: impl FnMut(T) -> U) -> DMatrix<U> {
         DMatrix { nrows: self.nrows, ncols: self.ncols, data: self.data.iter().copied().map(f).collect() }
     }

@@ -7,7 +7,7 @@
 //! method (solve a small Sylvester equation, orthogonalize, apply), as in
 //! LAPACK's `dlaexc`.
 
-use lpa_arith::{BatchReal, Real};
+use lpa_arith::Real;
 
 use crate::error::DenseError;
 use crate::givens::Givens;
@@ -17,7 +17,7 @@ use crate::schur::block_structure;
 
 /// Swap the adjacent diagonal blocks of sizes `p` and `q` starting at row
 /// `j` of the quasi-triangular matrix `t`, updating `z` alongside.
-fn swap_adjacent<T: BatchReal>(
+fn swap_adjacent<T: Real>(
     t: &mut DMatrix<T>,
     z: &mut DMatrix<T>,
     j: usize,
@@ -74,7 +74,7 @@ fn swap_adjacent<T: BatchReal>(
 /// Solve the small Sylvester equation `A X - X C = B` (sizes at most 2×2) by
 /// forming the Kronecker system and using Gaussian elimination with partial
 /// pivoting.
-fn solve_sylvester<T: BatchReal>(
+fn solve_sylvester<T: Real>(
     a: &DMatrix<T>,
     c: &DMatrix<T>,
     b: &DMatrix<T>,
@@ -148,7 +148,7 @@ fn solve_linear<T: Real>(m: &mut DMatrix<T>, rhs: &mut [T]) -> Result<Vec<T>, De
 /// Apply a small orthogonal matrix `q` (acting on rows/columns
 /// `j..j+q.nrows()`) as a similarity transform of `t` and on the right of
 /// `z`.
-fn apply_block_orthogonal<T: BatchReal>(
+fn apply_block_orthogonal<T: Real>(
     t: &mut DMatrix<T>,
     z: &mut DMatrix<T>,
     j: usize,
@@ -195,7 +195,7 @@ fn apply_block_orthogonal<T: BatchReal>(
 /// `selected` (by block position in the current block structure) appear
 /// first, preserving the relative order of the selected blocks.  Returns the
 /// number of leading rows/columns occupied by the selected blocks.
-pub fn reorder_schur<T: BatchReal>(
+pub fn reorder_schur<T: Real>(
     t: &mut DMatrix<T>,
     z: &mut DMatrix<T>,
     selected: &[bool],

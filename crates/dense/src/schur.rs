@@ -7,7 +7,7 @@
 //! failure to converge is reported as an error (never a panic) so the
 //! experiment harness can classify it as the paper's `∞ω` outcome.
 
-use lpa_arith::{BatchReal, Real};
+use lpa_arith::Real;
 
 use crate::complex::Complex;
 use crate::error::DenseError;
@@ -40,7 +40,7 @@ const MAX_ITER_PER_EIGENVALUE: usize = 80;
 
 /// Compute the real Schur form of a general square matrix: reduce to
 /// Hessenberg form first, then run the Francis iteration.
-pub fn schur<T: BatchReal>(a: &DMatrix<T>) -> Result<Schur<T>, DenseError> {
+pub fn schur<T: Real>(a: &DMatrix<T>) -> Result<Schur<T>, DenseError> {
     let (mut h, mut q) = hessenberg(a);
     hessenberg_schur_in_place(&mut h, &mut q)?;
     Ok(Schur { t: h, z: q })
@@ -49,7 +49,7 @@ pub fn schur<T: BatchReal>(a: &DMatrix<T>) -> Result<Schur<T>, DenseError> {
 /// Francis double-shift QR on an upper Hessenberg matrix `h`, accumulating
 /// the transformations into `z` (i.e. `z` is replaced by `z * Q` where
 /// `Q^T h_in Q = h_out`).
-pub fn hessenberg_schur_in_place<T: BatchReal>(
+pub fn hessenberg_schur_in_place<T: Real>(
     h: &mut DMatrix<T>,
     z: &mut DMatrix<T>,
 ) -> Result<(), DenseError> {
@@ -133,7 +133,7 @@ pub fn hessenberg_schur_in_place<T: BatchReal>(
 }
 
 /// One implicit double-shift sweep on the active block `lo..=hi`.
-fn francis_double_step<T: BatchReal>(
+fn francis_double_step<T: Real>(
     h: &mut DMatrix<T>,
     z: &mut DMatrix<T>,
     lo: usize,

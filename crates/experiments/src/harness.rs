@@ -16,9 +16,6 @@
 //! | max dimension  | `--size-max`      | `LPA_BENCH_SIZE_MAX` | 72      |
 //! | matrix budget  | `--matrices`      | `LPA_BENCH_MATRICES` | 6       |
 //! | store dir      | `--store`         | `LPA_STORE`          | none    |
-//! | 16-bit tier    | `--arith-tier`    | `LPA_ARITH_TIER`     | ambient |
-//! | kernel engine  | `--kernel-batch`  | `LPA_KERNEL_BATCH`   | batch   |
-//! | kernel lanes   | `--kernel-lanes`  | `LPA_KERNEL_LANES`   | 1       |
 //! | thread budget  | `--threads`       | `RAYON_NUM_THREADS`  | cores   |
 //! | I/O retries    | `--retry`         | `LPA_RETRY`          | 2       |
 //! | cell deadline  | `--cell-deadline-ms` | `LPA_CELL_DEADLINE_MS` | off |
@@ -30,12 +27,9 @@
 //! | serve in-flight | `lpa-serve --max-inflight` | `LPA_SERVE_MAX_INFLIGHT` | 4 |
 //! | serve queue    | `lpa-serve --queue` | `LPA_SERVE_QUEUE`  | 16      |
 //!
-//! Five variables are owned by lower layers and only *flow through* here
-//! so the precedence stays uniform: `LPA_ARITH_TIER` is read by
-//! [`lpa_arith::env_dec16_tier`], `LPA_KERNEL_BATCH` by
-//! [`lpa_arith::env_kernel_batch`], `LPA_KERNEL_LANES` by
-//! [`lpa_arith::env_kernel_lanes`], `LPA_OBS` by
-//! [`lpa_obs::env_observability`] (each module keeps its only `std::env`
+//! Two variables are owned by lower layers and only *flow through* here
+//! so the precedence stays uniform: `LPA_OBS` is read by
+//! [`lpa_obs::env_observability`] (that module keeps its only `std::env`
 //! read) and `RAYON_NUM_THREADS` by the rayon shim — a CLI thread budget
 //! simply outranks it by being pinned on the plan, and no
 //! process-environment mutation (`std::env::set_var`) is needed anywhere.
@@ -43,13 +37,10 @@
 //! module (`ServeConfig::from_env`, its only reader); the rows live here
 //! so this table stays the complete `LPA_*` inventory.
 //!
-//! Unset or unparsable environment values fall through to the next level,
-//! except `LPA_ARITH_TIER`, `LPA_KERNEL_BATCH` and `LPA_KERNEL_LANES`,
-//! where a typo panics rather than silently selecting a default.
+//! Unset or unparsable environment values fall through to the next level.
 
 use std::path::PathBuf;
 
-use lpa_arith::{Dec16Tier, KernelBatch, KernelLanes};
 use lpa_store::Store;
 
 /// Default corpus scale factor.
@@ -101,24 +92,6 @@ pub const ENV_DOCS: &[EnvDoc] = &[
         help: "persistent experiment store directory (default none)",
     },
     EnvDoc {
-        var: "LPA_ARITH_TIER",
-        flag: "--arith-tier",
-        value: "unpack|softfloat",
-        help: "16-bit arithmetic tier (bit-identical; default unpack)",
-    },
-    EnvDoc {
-        var: "LPA_KERNEL_BATCH",
-        flag: "--kernel-batch",
-        value: "batch|scalar",
-        help: "bulk kernel engine (bit-identical; default batch)",
-    },
-    EnvDoc {
-        var: "LPA_KERNEL_LANES",
-        flag: "--kernel-lanes",
-        value: "1|4|8",
-        help: "planes-kernel lane width (bit-identical; default 1)",
-    },
-    EnvDoc {
         var: "RAYON_NUM_THREADS",
         flag: "--threads",
         value: "T",
@@ -146,7 +119,7 @@ pub const ENV_DOCS: &[EnvDoc] = &[
         var: "LPA_MANIFEST_OUT",
         flag: "--manifest-out",
         value: "FILE",
-        help: "write the run_manifest/v1 JSON artifact of the run to FILE (default none)",
+        help: "write the run_manifest/v2 JSON artifact of the run to FILE (default none)",
     },
     EnvDoc {
         var: "LPA_FAULTS",
@@ -214,12 +187,6 @@ pub struct HarnessEnv {
     pub matrices: Option<usize>,
     /// `LPA_STORE` (empty value = unset)
     pub store_dir: Option<PathBuf>,
-    /// `LPA_ARITH_TIER`, via [`lpa_arith::env_dec16_tier`]
-    pub arith_tier: Option<Dec16Tier>,
-    /// `LPA_KERNEL_BATCH`, via [`lpa_arith::env_kernel_batch`]
-    pub kernel_batch: Option<KernelBatch>,
-    /// `LPA_KERNEL_LANES`, via [`lpa_arith::env_kernel_lanes`]
-    pub kernel_lanes: Option<KernelLanes>,
     /// `LPA_RETRY`
     pub retry: Option<u32>,
     /// `LPA_CELL_DEADLINE_MS`
@@ -234,18 +201,14 @@ impl HarnessEnv {
     /// Snapshot the process environment.
     pub fn capture() -> HarnessEnv {
         HarnessEnv {
-            arith_tier: lpa_arith::env_dec16_tier(),
-            kernel_batch: lpa_arith::env_kernel_batch(),
-            kernel_lanes: lpa_arith::env_kernel_lanes(),
             observability: lpa_obs::env_observability(),
             ..Self::from_lookup(|name| std::env::var(name).ok())
         }
     }
 
     /// Parse the `LPA_BENCH_*` / `LPA_STORE` / `LPA_MANIFEST_OUT` variables
-    /// through `lookup` (injectable for tests; `arith_tier`,
-    /// `kernel_batch` and `observability` stay `None` because their
-    /// environment reads belong to `lpa_arith` / `lpa_obs`).
+    /// through `lookup` (injectable for tests; `observability` stays `None`
+    /// because its environment read belongs to `lpa_obs`).
     pub fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> HarnessEnv {
         let parsed = |name: &str| lookup(name).and_then(|v| v.parse().ok());
         let path_of =
@@ -255,9 +218,6 @@ impl HarnessEnv {
             size_max: parsed("LPA_BENCH_SIZE_MAX"),
             matrices: parsed("LPA_BENCH_MATRICES"),
             store_dir: path_of("LPA_STORE"),
-            arith_tier: None,
-            kernel_batch: None,
-            kernel_lanes: None,
             retry: lookup("LPA_RETRY").and_then(|v| v.parse().ok()),
             cell_deadline_ms: lookup("LPA_CELL_DEADLINE_MS").and_then(|v| v.parse().ok()),
             observability: None,
@@ -274,9 +234,6 @@ pub struct PlanOverrides {
     pub size_max: Option<usize>,
     pub matrices: Option<usize>,
     pub store_dir: Option<PathBuf>,
-    pub arith_tier: Option<Dec16Tier>,
-    pub kernel_batch: Option<KernelBatch>,
-    pub kernel_lanes: Option<KernelLanes>,
     pub threads: Option<usize>,
     pub retry: Option<u32>,
     pub cell_deadline_ms: Option<u64>,
@@ -293,9 +250,6 @@ impl PlanOverrides {
             size_max: self.size_max.or(env.size_max).unwrap_or(DEFAULT_SIZE_MAX),
             matrix_budget: self.matrices.or(env.matrices).unwrap_or(DEFAULT_MATRIX_BUDGET),
             store_dir: self.store_dir.clone().or_else(|| env.store_dir.clone()),
-            arith_tier: self.arith_tier.or(env.arith_tier),
-            kernel_batch: self.kernel_batch.or(env.kernel_batch),
-            kernel_lanes: self.kernel_lanes.or(env.kernel_lanes),
             // No env fallback here: when None, the rayon shim applies
             // RAYON_NUM_THREADS itself, keeping that read in one module.
             threads: self.threads,
@@ -323,12 +277,6 @@ pub struct HarnessSettings {
     pub matrix_budget: usize,
     /// Directory of the persistent experiment store, if any.
     pub store_dir: Option<PathBuf>,
-    /// Forced 16-bit arithmetic tier (`None` = ambient).
-    pub arith_tier: Option<Dec16Tier>,
-    /// Forced bulk kernel engine (`None` = ambient, i.e. batch).
-    pub kernel_batch: Option<KernelBatch>,
-    /// Forced planes-kernel lane width (`None` = ambient, i.e. 8).
-    pub kernel_lanes: Option<KernelLanes>,
     /// Worker-thread budget (`None` = `RAYON_NUM_THREADS`, else all cores).
     pub threads: Option<usize>,
     /// Transient store-I/O retry budget (`None` = the store's default).
@@ -337,7 +285,7 @@ pub struct HarnessSettings {
     pub cell_deadline: Option<std::time::Duration>,
     /// Forced `lpa-obs` span-gate state (`None` = ambient, i.e. `LPA_OBS`).
     pub observability: Option<bool>,
-    /// Path of the `run_manifest/v1` artifact to emit (`None` = none).
+    /// Path of the `run_manifest/v2` artifact to emit (`None` = none).
     pub manifest_out: Option<PathBuf>,
 }
 
@@ -375,7 +323,6 @@ mod tests {
         assert_eq!(settings.size_max, DEFAULT_SIZE_MAX);
         assert_eq!(settings.matrix_budget, DEFAULT_MATRIX_BUDGET);
         assert_eq!(settings.store_dir, None);
-        assert_eq!(settings.arith_tier, None);
         assert_eq!(settings.threads, None);
         assert_eq!(settings.retry, None);
         assert_eq!(settings.cell_deadline, None);
@@ -453,16 +400,11 @@ mod tests {
             ("LPA_BENCH_MATRICES", "12"),
             ("LPA_STORE", "/tmp/from-env"),
         ]);
-        let env = HarnessEnv {
-            arith_tier: Some(Dec16Tier::Unpack),
-            kernel_batch: Some(KernelBatch::Batch),
-            ..env
-        };
+        let env = HarnessEnv { observability: Some(false), ..env };
         let cli = PlanOverrides {
             scale: Some(5),
             store_dir: Some(PathBuf::from("/tmp/from-cli")),
-            arith_tier: Some(Dec16Tier::Softfloat),
-            kernel_batch: Some(KernelBatch::Scalar),
+            observability: Some(true),
             threads: Some(2),
             ..Default::default()
         };
@@ -470,8 +412,7 @@ mod tests {
         // CLI wins where both are set.
         assert_eq!(settings.scale, 5);
         assert_eq!(settings.store_dir, Some(PathBuf::from("/tmp/from-cli")));
-        assert_eq!(settings.arith_tier, Some(Dec16Tier::Softfloat));
-        assert_eq!(settings.kernel_batch, Some(KernelBatch::Scalar));
+        assert_eq!(settings.observability, Some(true));
         assert_eq!(settings.threads, Some(2));
         // Env wins where only it is set.
         assert_eq!(settings.matrix_budget, 12);
@@ -481,8 +422,7 @@ mod tests {
         // And the pure-env / pure-default rows of the matrix.
         let settings = PlanOverrides::default().resolve(&env);
         assert_eq!(settings.scale, 2);
-        assert_eq!(settings.arith_tier, Some(Dec16Tier::Unpack));
-        assert_eq!(settings.kernel_batch, Some(KernelBatch::Batch));
+        assert_eq!(settings.observability, Some(false));
         assert_eq!(settings.threads, None);
     }
 
@@ -496,26 +436,23 @@ mod tests {
             size_max: _,
             matrices: _,
             store_dir: _,
-            arith_tier: _,
-            kernel_batch: _,
-            kernel_lanes: _,
             threads: _,
             retry: _,
             cell_deadline_ms: _,
             observability: _,
             manifest_out: _,
         } = PlanOverrides::default();
-        // 12 override fields + the env-only LPA_FAULTS and
+        // 9 override fields + the env-only LPA_FAULTS and
         // LPA_NUMERICS_BUMP rows + the three LPA_SERVE_* daemon knobs.
-        assert_eq!(ENV_DOCS.len(), 17, "one doc row per knob");
+        assert_eq!(ENV_DOCS.len(), 14, "one doc row per knob");
 
         let table = env_docs_table();
         for doc in ENV_DOCS {
             assert!(table.contains(doc.var), "{} missing from the table", doc.var);
             assert!(table.contains(doc.flag), "{} missing from the table", doc.flag);
         }
-        assert!(table.contains("LPA_KERNEL_BATCH"));
-        assert!(table.contains("--kernel-batch"));
+        assert!(table.contains("LPA_CELL_DEADLINE_MS"));
+        assert!(table.contains("--cell-deadline-ms"));
     }
 
     #[test]

@@ -36,7 +36,7 @@
 //!     .formats(&FormatTag::all())
 //!     .config(ExperimentConfig::default())
 //!     .maybe_store(store.as_ref())
-//!     .apply(&settings)      // tier / thread overrides, if any
+//!     .apply(&settings)      // thread / retry / deadline overrides, if any
 //!     .observer(&progress)   // stream per-matrix progress to stderr
 //!     .session()
 //!     .run();
@@ -44,7 +44,7 @@
 //! ```
 //!
 //! Results are deterministic and byte-identical for any thread count, store
-//! state, observer, and arithmetic tier. With a persistent `lpa-store`
+//! state and observer. With a persistent `lpa-store`
 //! attached, every reference solve and outcome is content-addressed and
 //! reused across harness runs — see [`persist`] for the key-derivation and
 //! salt-bumping policy, and [`harness`] for the one place `LPA_*`

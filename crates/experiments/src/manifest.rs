@@ -1,4 +1,4 @@
-//! The versioned run manifest (`run_manifest/v1`): the machine-readable
+//! The versioned run manifest (`run_manifest/v2`): the machine-readable
 //! ground truth of one [`crate::Session`] run, consumed by
 //! `reproduce --manifest-out`, the figure benches, CI's cross-thread-count
 //! determinism check, and later `lpa-serve`.
@@ -7,13 +7,11 @@
 //!
 //! ```json
 //! {
-//!   "schema": "run_manifest/v1",
+//!   "schema": "run_manifest/v2",
 //!   "plan":  { "formats": [...], "config": {...}, "corpus": N, "faults": "...",
 //!              "numerics": { "<feature>": V, ... } },
 //!   "grid":  { ...the ExperimentResults serialization... },
-//!   "run":   { "threads": T, "arith_tier": "...", "kernel_batch": "...",
-//!              "kernel_lanes": W,
-//!              "retry": R, "cell_deadline_ms": D, "observability": "...",
+//!   "run":   { "threads": T, "retry": R, "cell_deadline_ms": D, "observability": "...",
 //!              "wall_ms": W,
 //!              "references": [ {"matrix","status","from_store","wall_ms"} ],
 //!              "cells":      [ {"matrix","format","outcome","from_store","wall_ms"} ],
@@ -27,7 +25,7 @@
 //!
 //! * **`plan`** and **`grid`** are deterministic functions of (corpus,
 //!   formats, config, fault spec) — byte-identical for any thread count,
-//!   store state, arithmetic tier, kernel engine and observability state
+//!   store state and observability state
 //!   (the session's existing determinism guarantee). [`stable_view`]
 //!   extracts exactly this pair.
 //! * **`run`** holds everything about *this particular execution*:
@@ -47,7 +45,7 @@ use std::path::Path;
 use serde::Value;
 
 /// Schema tag of every run manifest.
-pub const RUN_MANIFEST_SCHEMA: &str = "run_manifest/v1";
+pub const RUN_MANIFEST_SCHEMA: &str = "run_manifest/v2";
 
 /// One emitted run manifest (see the module docs for the layout).
 pub struct RunManifest {
@@ -145,7 +143,7 @@ fn expect_keys(map: &Value, keys: &[&str], section: &str) -> Result<(), String> 
     Ok(())
 }
 
-/// Structural schema check of a `run_manifest/v1` tree: section presence,
+/// Structural schema check of a `run_manifest/v2` tree: section presence,
 /// per-record keys, and the shared registry schema tag on the counter
 /// sections. CI runs this (via `manifest_check`) on every emitted
 /// manifest.
@@ -170,9 +168,6 @@ pub fn validate(manifest: &Value) -> Result<(), String> {
         run,
         &[
             "threads",
-            "arith_tier",
-            "kernel_batch",
-            "kernel_lanes",
             "retry",
             "cell_deadline_ms",
             "observability",
@@ -267,9 +262,6 @@ mod tests {
                 "run".to_string(),
                 Value::Map(vec![
                     ("threads".to_string(), Value::Num(4.0)),
-                    ("arith_tier".to_string(), str_v("Unpack")),
-                    ("kernel_batch".to_string(), str_v("Batch")),
-                    ("kernel_lanes".to_string(), Value::Num(8.0)),
                     ("retry".to_string(), Value::Null),
                     ("cell_deadline_ms".to_string(), Value::Null),
                     ("observability".to_string(), str_v("disarmed")),

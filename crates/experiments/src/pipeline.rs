@@ -11,7 +11,10 @@
 //! 5. report the relative L2 errors of the first `nev` eigenvalues and
 //!    eigenvectors.
 
-use lpa_arith::{Dd, Real};
+use lpa_arith::{
+    Bf16, Dd, Decoded, Posit16, Posit32, Posit64, Posit8, Real, Takum16, Takum32, Takum64, Takum8,
+    E4M3, E5M2, F16,
+};
 use lpa_arnoldi::{partial_schur, ArnoldiOptions, PartialSchur, Which};
 use lpa_assign::maximize_similarity;
 use lpa_dense::DMatrix;
@@ -132,6 +135,12 @@ pub struct FormatRun {
 }
 
 /// Run the experiment for a single format.
+///
+/// This is the one format → type table of the pipeline.  The emulated
+/// 16/32/64-bit formats run at [`Decoded<T>`] end to end (conversion,
+/// solve, pair extraction): bit-identical to `T` op for op, without the
+/// per-op decode and encode.  The 8-bit table formats, the native floats
+/// and `Dd` run at their own type.
 pub fn run_format(
     matrix: &CsrMatrix<f64>,
     reference: &Reference,
@@ -139,25 +148,25 @@ pub fn run_format(
     cfg: &ExperimentConfig,
 ) -> FormatRun {
     let outcome = match format {
-        FormatTag::Ofp8E4M3 => run_typed::<lpa_arith::E4M3>(matrix, reference, format, cfg),
-        FormatTag::Ofp8E5M2 => run_typed::<lpa_arith::E5M2>(matrix, reference, format, cfg),
-        FormatTag::Posit8 => run_typed::<lpa_arith::Posit8>(matrix, reference, format, cfg),
-        FormatTag::Takum8 => run_typed::<lpa_arith::Takum8>(matrix, reference, format, cfg),
-        FormatTag::Float16 => run_typed::<lpa_arith::F16>(matrix, reference, format, cfg),
-        FormatTag::Bfloat16 => run_typed::<lpa_arith::Bf16>(matrix, reference, format, cfg),
-        FormatTag::Posit16 => run_typed::<lpa_arith::Posit16>(matrix, reference, format, cfg),
-        FormatTag::Takum16 => run_typed::<lpa_arith::Takum16>(matrix, reference, format, cfg),
+        FormatTag::Ofp8E4M3 => run_typed::<E4M3>(matrix, reference, format, cfg),
+        FormatTag::Ofp8E5M2 => run_typed::<E5M2>(matrix, reference, format, cfg),
+        FormatTag::Posit8 => run_typed::<Posit8>(matrix, reference, format, cfg),
+        FormatTag::Takum8 => run_typed::<Takum8>(matrix, reference, format, cfg),
+        FormatTag::Float16 => run_typed::<Decoded<F16>>(matrix, reference, format, cfg),
+        FormatTag::Bfloat16 => run_typed::<Decoded<Bf16>>(matrix, reference, format, cfg),
+        FormatTag::Posit16 => run_typed::<Decoded<Posit16>>(matrix, reference, format, cfg),
+        FormatTag::Takum16 => run_typed::<Decoded<Takum16>>(matrix, reference, format, cfg),
         FormatTag::Float32 => run_typed::<f32>(matrix, reference, format, cfg),
-        FormatTag::Posit32 => run_typed::<lpa_arith::Posit32>(matrix, reference, format, cfg),
-        FormatTag::Takum32 => run_typed::<lpa_arith::Takum32>(matrix, reference, format, cfg),
+        FormatTag::Posit32 => run_typed::<Decoded<Posit32>>(matrix, reference, format, cfg),
+        FormatTag::Takum32 => run_typed::<Decoded<Takum32>>(matrix, reference, format, cfg),
         FormatTag::Float64 => run_typed::<f64>(matrix, reference, format, cfg),
-        FormatTag::Posit64 => run_typed::<lpa_arith::Posit64>(matrix, reference, format, cfg),
-        FormatTag::Takum64 => run_typed::<lpa_arith::Takum64>(matrix, reference, format, cfg),
+        FormatTag::Posit64 => run_typed::<Decoded<Posit64>>(matrix, reference, format, cfg),
+        FormatTag::Takum64 => run_typed::<Decoded<Takum64>>(matrix, reference, format, cfg),
     };
     FormatRun { format, outcome }
 }
 
-fn run_typed<T: lpa_arith::BatchReal>(
+fn run_typed<T: Real>(
     matrix: &CsrMatrix<f64>,
     reference: &Reference,
     format: FormatTag,
@@ -172,17 +181,7 @@ fn run_typed<T: lpa_arith::BatchReal>(
         Err(_) => return Outcome::RangeExceeded,
     };
     // Step 2: the Arnoldi run itself (failure of any kind is the paper's ∞ω).
-    // With the batch kernel engine active, the matrix values are decoded
-    // once per (matrix, format) run here — every SpMV of every Arnoldi
-    // step then gathers the shadows instead of re-decoding (bit-identical
-    // results, see `lpa_arith::batch`).
-    let opts = cfg.options(format.tolerance());
-    let ps = if T::DECODED && lpa_arith::kernel_batch_enabled() {
-        partial_schur(&lpa_sparse::CsrDecoded::new(converted), &opts)
-    } else {
-        partial_schur(&converted, &opts)
-    };
-    let ps = match ps {
+    let ps = match partial_schur(&converted, &cfg.options(format.tolerance())) {
         Ok((ps, _hist)) => ps,
         // Running out of wall clock is a fact about this run, not about
         // the cell; the driver keeps it out of the store.

@@ -5,10 +5,10 @@
 //! `reproduce` binary, the examples, the integration tests — builds its run
 //! through an [`ExperimentPlan`]: a builder that collects the corpus, the
 //! format list, the [`ExperimentConfig`], an optional persistent
-//! [`Store`], an optional 16-bit arithmetic tier override and an optional
-//! thread budget, and resolves into a [`Session`] whose [`Session::run`]
-//! produces exactly the same byte-identical, thread-count-independent
-//! [`ExperimentResults`] the old free functions did.
+//! [`Store`] and an optional thread budget, and resolves into a
+//! [`Session`] whose [`Session::run`] produces exactly the same
+//! byte-identical, thread-count-independent [`ExperimentResults`] the old
+//! free functions did.
 //!
 //! ```no_run
 //! use lpa_datagen::{general_corpus, CorpusConfig};
@@ -52,10 +52,6 @@ use std::time::{Duration, Instant};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-use lpa_arith::{
-    dec16_tier, force_dec16_tier, force_kernel_batch, force_kernel_lanes, kernel_batch,
-    kernel_lanes, Dec16Tier, KernelBatch, KernelLanes,
-};
 use lpa_datagen::TestMatrix;
 use lpa_store::{ArtifactKind, Store};
 
@@ -246,19 +242,15 @@ impl ProgressObserver for StderrProgress {
 /// Builder for one experiment run: the single front door of the harness.
 ///
 /// Knobs, in the order long runs usually set them: corpus → formats →
-/// [`ExperimentConfig`] → persistent store → 16-bit arithmetic tier →
-/// thread budget → progress observer. Every knob except the corpus has a
-/// default (all 14 formats, the paper's config, no store, the ambient tier
-/// and thread count, no observer).
+/// [`ExperimentConfig`] → persistent store → thread budget → progress
+/// observer. Every knob except the corpus has a default (all 14 formats,
+/// the paper's config, no store, the ambient thread count, no observer).
 #[derive(Clone)]
 pub struct ExperimentPlan<'a> {
     corpus: &'a [TestMatrix],
     formats: Vec<FormatTag>,
     config: ExperimentConfig,
     store: Option<&'a Store>,
-    arith_tier: Option<Dec16Tier>,
-    kernel_batch: Option<KernelBatch>,
-    kernel_lanes: Option<KernelLanes>,
     threads: Option<usize>,
     retry: Option<u32>,
     cell_deadline: Option<Duration>,
@@ -275,9 +267,6 @@ impl<'a> ExperimentPlan<'a> {
             formats: FormatTag::all(),
             config: ExperimentConfig::default(),
             store: None,
-            arith_tier: None,
-            kernel_batch: None,
-            kernel_lanes: None,
             threads: None,
             retry: None,
             cell_deadline: None,
@@ -313,35 +302,6 @@ impl<'a> ExperimentPlan<'a> {
         self
     }
 
-    /// Force the 16-bit arithmetic tier for the duration of the run
-    /// (default: the ambient tier — `LPA_ARITH_TIER` or unpack). Both tiers
-    /// are bit-identical, so this is a verification/debugging knob, not a
-    /// semantic one.
-    pub fn arith_tier(mut self, tier: Dec16Tier) -> Self {
-        self.arith_tier = Some(tier);
-        self
-    }
-
-    /// Force the batch kernel engine on or off for the duration of the run
-    /// (default: the ambient engine — `LPA_KERNEL_BATCH` or batch). Both
-    /// engines are bit-identical, so — like
-    /// [`ExperimentPlan::arith_tier`] — this is a verification/benchmark
-    /// knob, not a semantic one.
-    pub fn kernel_batch(mut self, engine: KernelBatch) -> Self {
-        self.kernel_batch = Some(engine);
-        self
-    }
-
-    /// Force the planes-kernel lane width for the duration of the run
-    /// (default: the ambient width — `LPA_KERNEL_LANES` or 1). Every width
-    /// computes identical bits, so — like
-    /// [`ExperimentPlan::kernel_batch`] — this is a verification/benchmark
-    /// knob, not a semantic one.
-    pub fn kernel_lanes(mut self, lanes: KernelLanes) -> Self {
-        self.kernel_lanes = Some(lanes);
-        self
-    }
-
     /// Cap the run at `n` worker threads (default: `RAYON_NUM_THREADS`,
     /// else all cores). Results are byte-identical for any value.
     pub fn threads(mut self, n: usize) -> Self {
@@ -370,14 +330,14 @@ impl<'a> ExperimentPlan<'a> {
     /// Arm (or disarm) the `lpa-obs` tracing spans for the duration of the
     /// run (default: the ambient gate — `LPA_OBS` or disarmed), with the
     /// previous state restored when the run ends, like
-    /// [`ExperimentPlan::arith_tier`]. Spans never affect computed results;
+    /// [`ExperimentPlan::retry`]. Spans never affect computed results;
     /// this only selects whether the session records them.
     pub fn observability(mut self, armed: bool) -> Self {
         self.observability = Some(armed);
         self
     }
 
-    /// Write the run's `run_manifest/v1` JSON artifact to `path` when the
+    /// Write the run's `run_manifest/v2` JSON artifact to `path` when the
     /// session finishes (default: no artifact). The manifest is also
     /// returned by [`Session::run_with_manifest`] regardless of this knob.
     pub fn manifest_out(mut self, path: impl Into<PathBuf>) -> Self {
@@ -392,20 +352,11 @@ impl<'a> ExperimentPlan<'a> {
     }
 
     /// Apply resolved harness settings (the CLI > environment > default
-    /// layer, see [`crate::harness`]) to the plan's tier and thread knobs.
+    /// layer, see [`crate::harness`]) to the plan's knobs.
     /// The store is I/O and stays explicit: open it with
     /// [`crate::harness::HarnessSettings::open_store`] and pass it to
     /// [`ExperimentPlan::maybe_store`].
     pub fn apply(mut self, settings: &crate::harness::HarnessSettings) -> Self {
-        if let Some(tier) = settings.arith_tier {
-            self = self.arith_tier(tier);
-        }
-        if let Some(engine) = settings.kernel_batch {
-            self = self.kernel_batch(engine);
-        }
-        if let Some(lanes) = settings.kernel_lanes {
-            self = self.kernel_lanes(lanes);
-        }
         if let Some(threads) = settings.threads {
             self = self.threads(threads);
         }
@@ -468,7 +419,7 @@ impl Session<'_> {
     /// thread count, store state and observer.
     ///
     /// When [`ExperimentPlan::manifest_out`] is set, the run's
-    /// `run_manifest/v1` artifact is written there before returning.
+    /// `run_manifest/v2` artifact is written there before returning.
     pub fn run(&self) -> ExperimentResults {
         self.run_with_manifest().0
     }
@@ -486,16 +437,10 @@ impl Session<'_> {
     }
 
     fn run_inner(&self) -> (ExperimentResults, RunManifest) {
-        // Restore guards, outermost first: the obs gate (span recording),
-        // the arithmetic tier, the kernel engine and the store's retry
-        // budget are all process-/handle-global knobs scoped to this run.
+        // Restore guards, outermost first: the obs gate (span recording)
+        // is process-global and the retry budget lives on the shared store
+        // handle; both are scoped to this run.
         let _obs = self.plan.observability.map(ObsGuard::force);
-        let _tier = self.plan.arith_tier.map(TierGuard::force);
-        let _engine = self.plan.kernel_batch.map(BatchGuard::force);
-        let _lanes = self.plan.kernel_lanes.map(LanesGuard::force);
-        // Scope the I/O retry budget to this run (same restore-guard
-        // pattern as the tier/engine knobs — the budget lives on the
-        // shared store handle).
         let _retry = match (self.plan.retry, self.plan.store) {
             (Some(retries), Some(store)) => Some(RetryGuard::set(store, retries)),
             _ => None,
@@ -694,7 +639,7 @@ impl Session<'_> {
         }
     }
 
-    /// Assemble the `run_manifest/v1` tree (layout: [`crate::manifest`]).
+    /// Assemble the `run_manifest/v2` tree (layout: [`crate::manifest`]).
     ///
     /// The session counters are tallied here from the grid's own records
     /// and the *same values* are added to the process-global `lpa-obs`
@@ -865,12 +810,9 @@ impl Session<'_> {
             .collect();
 
         // Knob provenance is read while the run's restore guards are still
-        // alive, so the manifest reports the *effective* tier and engine.
+        // alive, so the manifest reports the *effective* span gate.
         let run = Value::Map(vec![
             ("threads".to_string(), Value::Num(self.threads() as f64)),
-            ("arith_tier".to_string(), Value::Str(format!("{:?}", dec16_tier()))),
-            ("kernel_batch".to_string(), Value::Str(format!("{:?}", kernel_batch()))),
-            ("kernel_lanes".to_string(), Value::Num(kernel_lanes().width() as f64)),
             (
                 "retry".to_string(),
                 self.plan.retry.map_or(Value::Null, |r| Value::Num(r as f64)),
@@ -1085,27 +1027,8 @@ fn emit(observer: Option<&dyn ProgressObserver>, event: impl FnOnce() -> Progres
     }
 }
 
-/// Forces the 16-bit tier for a scope and restores the previous tier on
-/// drop. Both tiers compute identical bits, so overlapping guards from
-/// concurrent sessions are benign (the knob is process-global).
-struct TierGuard(Dec16Tier);
-
-impl TierGuard {
-    fn force(tier: Dec16Tier) -> TierGuard {
-        let previous = dec16_tier();
-        force_dec16_tier(tier);
-        TierGuard(previous)
-    }
-}
-
-impl Drop for TierGuard {
-    fn drop(&mut self) {
-        force_dec16_tier(self.0);
-    }
-}
-
 /// Sets a store's I/O retry budget for a scope and restores the previous
-/// budget on drop (the tier/engine restore-guard pattern).
+/// budget on drop.
 struct RetryGuard<'a> {
     store: &'a Store,
     previous: u32,
@@ -1126,9 +1049,8 @@ impl Drop for RetryGuard<'_> {
 }
 
 /// Arms (or disarms) the `lpa-obs` span gate for a scope and restores the
-/// previous state on drop (the tier/engine restore-guard pattern; the gate
-/// only selects whether spans are recorded, never what is computed, so
-/// overlapping guards are benign).
+/// previous state on drop (the gate only selects whether spans are
+/// recorded, never what is computed, so overlapping guards are benign).
 struct ObsGuard(bool);
 
 impl ObsGuard {
@@ -1140,44 +1062,6 @@ impl ObsGuard {
 impl Drop for ObsGuard {
     fn drop(&mut self) {
         lpa_obs::force(self.0);
-    }
-}
-
-/// Forces the batch kernel engine for a scope and restores the previous
-/// engine on drop (the `arith_tier` restore-guard pattern; both engines
-/// compute identical bits, so overlapping guards are benign).
-struct BatchGuard(KernelBatch);
-
-impl BatchGuard {
-    fn force(engine: KernelBatch) -> BatchGuard {
-        let previous = kernel_batch();
-        force_kernel_batch(engine);
-        BatchGuard(previous)
-    }
-}
-
-impl Drop for BatchGuard {
-    fn drop(&mut self) {
-        force_kernel_batch(self.0);
-    }
-}
-
-/// Forces the planes-kernel lane width for a scope and restores the
-/// previous width on drop (the `kernel_batch` restore-guard pattern; every
-/// width computes identical bits, so overlapping guards are benign).
-struct LanesGuard(KernelLanes);
-
-impl LanesGuard {
-    fn force(lanes: KernelLanes) -> LanesGuard {
-        let previous = kernel_lanes();
-        force_kernel_lanes(lanes);
-        LanesGuard(previous)
-    }
-}
-
-impl Drop for LanesGuard {
-    fn drop(&mut self) {
-        force_kernel_lanes(self.0);
     }
 }
 

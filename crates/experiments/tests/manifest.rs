@@ -1,13 +1,12 @@
-//! Contract tests of the `run_manifest/v1` artifact:
+//! Contract tests of the `run_manifest/v2` artifact:
 //!
 //! * every emitted manifest passes `manifest::validate`,
 //! * the timing-masked manifest is byte-identical across thread counts
 //!   (matching store state — here: no store),
-//! * the `stable_view` (plan + grid) is byte-identical across kernel
-//!   engines and store states (warm vs cold),
+//! * the `stable_view` (plan + grid) is byte-identical across store
+//!   states (none, cold, warm),
 //! * served-from-store flags and span sections report truthfully.
 
-use lpa_arith::KernelBatch;
 use lpa_datagen::{general_corpus, CorpusConfig, TestMatrix};
 use lpa_experiments::{manifest, ExperimentConfig, ExperimentPlan, FormatTag};
 use lpa_store::Store;
@@ -74,24 +73,16 @@ fn timing_masked_manifest_is_identical_across_thread_counts() {
 }
 
 #[test]
-fn stable_view_is_identical_across_engines_and_store_states() {
+fn stable_view_is_identical_across_store_states() {
     let corpus = tiny_corpus(3);
     let formats = [FormatTag::Float64, FormatTag::Posit16];
     let cfg = tiny_config();
     let dir = std::env::temp_dir().join(format!("lpa-manifest-store-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 
-    let batch = ExperimentPlan::over(&corpus)
+    let storeless = ExperimentPlan::over(&corpus)
         .formats(&formats)
         .config(cfg.clone())
-        .kernel_batch(KernelBatch::Batch)
-        .session()
-        .run_with_manifest()
-        .1;
-    let scalar = ExperimentPlan::over(&corpus)
-        .formats(&formats)
-        .config(cfg.clone())
-        .kernel_batch(KernelBatch::Scalar)
         .session()
         .run_with_manifest()
         .1;
@@ -113,8 +104,7 @@ fn stable_view_is_identical_across_engines_and_store_states() {
     let stable = |m: &lpa_experiments::RunManifest| {
         serde_json::to_string_pretty(&m.stable_view()).unwrap()
     };
-    assert_eq!(stable(&batch), stable(&scalar), "stable view depends on the kernel engine");
-    assert_eq!(stable(&batch), stable(&cold), "stable view depends on having a store");
+    assert_eq!(stable(&storeless), stable(&cold), "stable view depends on having a store");
     assert_eq!(stable(&cold), stable(&warm), "stable view depends on store warmth");
 
     // The volatile section tells the two store runs apart: the cold run
@@ -133,7 +123,7 @@ fn stable_view_is_identical_across_engines_and_store_states() {
 
     // Storeless manifests carry a null store section; store-backed ones
     // carry registry counter deltas that reflect this run only.
-    assert!(matches!(batch.value().get("run").and_then(|r| r.get("store")), Some(Value::Null)));
+    assert!(matches!(storeless.value().get("run").and_then(|r| r.get("store")), Some(Value::Null)));
     let miss_delta = |m: &lpa_experiments::RunManifest| {
         m.value()
             .get("run")

@@ -10,8 +10,9 @@
 //!   exact payload the store persists;
 //! * **schur** — the bits of `T` and `Z` from `lpa_dense::schur` plus one
 //!   `reorder_schur`, for fixed matrices with complex pairs, deflated
-//!   zero blocks and saturating entries, in every format (or the error it
-//!   returns).
+//!   zero blocks and saturating entries, in every format at the element
+//!   type the pipeline solves it at (`Decoded<T>` for the emulated
+//!   16/32/64-bit formats), or the error it returns.
 //!
 //! A mismatch means the numerics changed.  If that was intended, bump the
 //! owning feature in `lpa_numerics` (and the tier's declared constant) so
@@ -22,8 +23,8 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 use lpa_arith::{
-    BatchReal, Bf16, Posit16, Posit32, Posit64, Posit8, Takum16, Takum32, Takum64, Takum8, E4M3,
-    E5M2, F16,
+    Bf16, Decoded, Posit16, Posit32, Posit64, Posit8, Real, Takum16, Takum32, Takum64, Takum8,
+    UnpackedReal, E4M3, E5M2, F16,
 };
 use lpa_datagen::{general_corpus, CorpusConfig, TestMatrix};
 use lpa_dense::ordschur::reorder_schur;
@@ -40,8 +41,15 @@ fn fixture_path() -> PathBuf {
 }
 
 /// Raw storage bits of a scalar, for hashing exact outputs.
-trait Bits: BatchReal {
+trait Bits: Real {
     fn bits(self) -> u64;
+}
+
+/// A decoded value hashes as the bits it encodes to.
+impl<T: UnpackedReal + Bits> Bits for Decoded<T> {
+    fn bits(self) -> u64 {
+        self.encode().bits()
+    }
 }
 
 macro_rules! bits_via_to_bits {
@@ -94,16 +102,16 @@ fn schur_pin_all(a: &DMatrix<f64>) -> Vec<(&'static str, String)> {
         ("ofp8-e5m2", schur_pin::<E5M2>(a)),
         ("posit8", schur_pin::<Posit8>(a)),
         ("takum8", schur_pin::<Takum8>(a)),
-        ("float16", schur_pin::<F16>(a)),
-        ("bfloat16", schur_pin::<Bf16>(a)),
-        ("posit16", schur_pin::<Posit16>(a)),
-        ("takum16", schur_pin::<Takum16>(a)),
+        ("float16", schur_pin::<Decoded<F16>>(a)),
+        ("bfloat16", schur_pin::<Decoded<Bf16>>(a)),
+        ("posit16", schur_pin::<Decoded<Posit16>>(a)),
+        ("takum16", schur_pin::<Decoded<Takum16>>(a)),
         ("float32", schur_pin::<f32>(a)),
-        ("posit32", schur_pin::<Posit32>(a)),
-        ("takum32", schur_pin::<Takum32>(a)),
+        ("posit32", schur_pin::<Decoded<Posit32>>(a)),
+        ("takum32", schur_pin::<Decoded<Takum32>>(a)),
         ("float64", schur_pin::<f64>(a)),
-        ("posit64", schur_pin::<Posit64>(a)),
-        ("takum64", schur_pin::<Takum64>(a)),
+        ("posit64", schur_pin::<Decoded<Posit64>>(a)),
+        ("takum64", schur_pin::<Decoded<Takum64>>(a)),
     ]
 }
 

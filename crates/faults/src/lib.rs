@@ -35,8 +35,8 @@
 //! `once` fires on the first evaluation only; `prob:P` draws from a
 //! splitmix64 stream seeded by `seed ^ hash(point)` and advanced once per
 //! evaluation, so a given spec fires at exactly the same evaluation indices
-//! on every run. A malformed spec or unknown point name panics (mirroring
-//! `LPA_ARITH_TIER`): a typo must not silently disarm a fault run.
+//! on every run. A malformed spec or unknown point name panics: a typo
+//! must not silently disarm a fault run.
 //!
 //! ## Disarmed cost
 //!

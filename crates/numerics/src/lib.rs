@@ -6,7 +6,7 @@
 //! structured table (in the spirit of Sui's `sui-protocol-config`): every
 //! numerics-relevant feature — the double-double reference solver, the
 //! Arnoldi restart scheme, the shared soft-float kernel, the 16-bit decode
-//! tables, the batch rounder, the 8-bit result LUTs, and one codec feature
+//! tables, the `Decoded<T>` rounders, the 8-bit result LUTs, and one codec feature
 //! per number format — carries an integer version, and each artifact's key
 //! hashes only the versions that can affect *that* artifact's kind and
 //! format (its [`Slice`]).
@@ -24,7 +24,7 @@
 //! ## Bump policy (replaces the salt-bump rule)
 //!
 //! A PR that changes computed numerics bumps the version of the *feature it
-//! changed* — `batch_round` for the batch engine, `dec16_tables` for the
+//! changed* — `batch_round` for the `Decoded<T>` rounders, `dec16_tables` for the
 //! 16-bit decode tables, `fmt_posit16` for a posit16 codec fix, and so on —
 //! in [`builtin`](NumericsConfig::builtin). Only the affected (kind,
 //! format) slices then miss; everything else stays warm. Changes that
@@ -72,7 +72,8 @@ pub const ARNOLDI_RESTART: Feature = Feature(1);
 pub const SOFTFLOAT_KERNEL: Feature = Feature(2);
 /// The unpack-once 16-bit decode tables (Lut16).
 pub const DEC16_TABLES: Feature = Feature(3);
-/// The decoded-operand batch kernel engine's value-level rounder.
+/// The value-level and fused rounders every `Decoded<T>` op rounds through
+/// (the name predates `Decoded<T>` and stays: names are key material).
 pub const BATCH_ROUND: Feature = Feature(4);
 /// The 8-bit full-result lookup tables.
 pub const LUT8_TABLES: Feature = Feature(5);
@@ -111,11 +112,11 @@ pub const FEATURE_NAMES: [&str; FEATURE_COUNT] = [
 pub enum FormatClass {
     /// 8-bit formats: full-result LUTs (built by the soft-float kernel).
     Lut8,
-    /// 16-bit formats: unpack-once decode tables + batch-routed kernels.
+    /// 16-bit formats: unpack-once decode tables, solved at `Decoded<T>`.
     Dec16,
     /// Hardware `f32`/`f64`: no emulation feature can affect them.
     Native,
-    /// 32/64-bit emulated formats: soft-float ops, batch-routed kernels.
+    /// 32/64-bit emulated formats: soft-float ops, solved at `Decoded<T>`.
     Soft,
 }
 

@@ -15,7 +15,7 @@
 //! exactly one place — this module. `LPA_OBS=1|on|true` arms span
 //! recording; `0|off|false` (or unset) leaves it disarmed; anything else
 //! panics (a typo must not silently disarm an observability run, mirroring
-//! `LPA_ARITH_TIER`). Programmatic arming goes through
+//! `LPA_FAULTS`). Programmatic arming goes through
 //! `ExperimentPlan::observability(..)` (a restore guard around [`force`])
 //! or, in tests, the serializing [`ObsScope`].
 //!

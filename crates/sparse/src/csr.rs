@@ -117,23 +117,42 @@ impl<T: Real> CsrMatrix<T> {
 
     /// Sparse matrix-vector product `y = A x`.
     ///
-    /// The hot loop of every Arnoldi expansion step: one flat pass over
-    /// `col_idx`/`values` walking the row boundaries from `row_ptr` as a
-    /// running offset, with the output row written through the same zipped
-    /// iteration — no per-row `row()` call or `row_ptr` double-indexing.
-    /// The accumulation order per row is unchanged, so results are
-    /// bit-identical to the naive form.
+    /// The hot loop of every Arnoldi expansion step.  Each row is one
+    /// serial chain of rounded adds, so walking rows one at a time leaves
+    /// the whole chain latency exposed.  Two adjacent rows are independent
+    /// chains, so the loop advances a pair in lockstep — two rounds in
+    /// flight — while each row's own accumulation still runs in ascending
+    /// column-slot order from `T::zero()`.  The result is therefore
+    /// bit-identical to the row-at-a-time loop for every [`Real`].
     pub fn spmv(&self, x: &[T], y: &mut [T]) {
         assert_eq!(x.len(), self.ncols);
         assert_eq!(y.len(), self.nrows);
-        let mut start = self.row_ptr[0];
-        for (yi, &end) in y.iter_mut().zip(&self.row_ptr[1..]) {
-            let mut acc = T::zero();
-            for (&j, &v) in self.col_idx[start..end].iter().zip(&self.values[start..end]) {
+        let row = |r: usize| {
+            let (lo, hi) = (self.row_ptr[r], self.row_ptr[r + 1]);
+            (&self.col_idx[lo..hi], &self.values[lo..hi])
+        };
+        let dot = |cols: &[usize], vals: &[T], mut acc: T| {
+            for (&j, &v) in cols.iter().zip(vals) {
                 acc += v * x[j];
             }
-            *yi = acc;
-            start = end;
+            acc
+        };
+        let mut pairs = y.chunks_exact_mut(2);
+        for (p, out) in pairs.by_ref().enumerate() {
+            let ((c0, v0), (c1, v1)) = (row(2 * p), row(2 * p + 1));
+            // Lockstep over the common prefix; at most one row has a tail.
+            let k = c0.len().min(c1.len());
+            let (mut acc0, mut acc1) = (T::zero(), T::zero());
+            for ((&j0, &a0), (&j1, &a1)) in c0.iter().zip(v0).zip(c1.iter().zip(v1)) {
+                acc0 += a0 * x[j0];
+                acc1 += a1 * x[j1];
+            }
+            out[0] = dot(&c0[k..], &v0[k..], acc0);
+            out[1] = dot(&c1[k..], &v1[k..], acc1);
+        }
+        if let [last] = pairs.into_remainder() {
+            let (c, v) = row(self.nrows - 1);
+            *last = dot(c, v, T::zero());
         }
     }
 
@@ -295,6 +314,60 @@ mod tests {
         assert_eq!(y, vec![5.0, 6.0, 13.0]);
         let dense = a.to_dense();
         assert_eq!(dense.matvec(&x), y);
+    }
+
+    /// The row-at-a-time SpMV the interleaved kernel must reproduce.
+    fn spmv_by_rows<T: Real>(a: &CsrMatrix<T>, x: &[T]) -> Vec<T> {
+        (0..a.nrows())
+            .map(|i| {
+                let (cols, vals) = a.row(i);
+                let mut acc = T::zero();
+                for (&j, &v) in cols.iter().zip(vals) {
+                    acc += v * x[j];
+                }
+                acc
+            })
+            .collect()
+    }
+
+    /// 9 rows (odd, so the unpaired last row runs), empty rows at the start,
+    /// inside a pair and at the end, unequal row lengths in both pair
+    /// positions, and a NaN entry (NaN/NaR in every format here).
+    fn check_interleaved_spmv_matches_rows<T: Real>() {
+        let lens = [0, 3, 1, 4, 0, 2, 5, 5, 0];
+        let mut t = Vec::new();
+        for (i, &len) in lens.iter().enumerate() {
+            for k in 0..len {
+                let v = if (i, k) == (6, 2) {
+                    f64::NAN
+                } else {
+                    (0.37 + 0.21 * k as f64 - 0.13 * i as f64) * if (i + k) % 2 == 0 { 1.0 } else { -1.0 }
+                };
+                t.push((i, (2 * i + 3 * k) % 9, T::from_f64(v)));
+            }
+        }
+        let a = CsrMatrix::from_triplets(9, 9, &t);
+        let x: Vec<T> = (0..9).map(|j| T::from_f64(0.5 - 0.17 * j as f64)).collect();
+        let expect = spmv_by_rows(&a, &x);
+        for _ in 0..2 {
+            // The output buffer arrives holding stale data on the second
+            // pass: every row, empty ones included, must be overwritten.
+            let mut y = vec![T::from_f64(7.0); 9];
+            a.spmv(&x, &mut y);
+            for (r, (got, want)) in y.iter().zip(&expect).enumerate() {
+                let same = (got.is_nan() && want.is_nan()) || got.to_f64().to_bits() == want.to_f64().to_bits();
+                assert!(same, "row {r} in {}: {got:?} vs {want:?}", T::NAME);
+            }
+        }
+        assert!(expect[6].is_nan() && expect[0].is_zero() && expect[8].is_zero());
+    }
+
+    #[test]
+    fn interleaved_spmv_matches_row_at_a_time() {
+        check_interleaved_spmv_matches_rows::<f64>();
+        check_interleaved_spmv_matches_rows::<lpa_arith::E4M3>();
+        check_interleaved_spmv_matches_rows::<Posit16>();
+        check_interleaved_spmv_matches_rows::<lpa_arith::Decoded<lpa_arith::Takum32>>();
     }
 
     #[test]

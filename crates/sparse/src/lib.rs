@@ -19,7 +19,6 @@
 pub mod convert;
 pub mod coo;
 pub mod csr;
-pub mod decoded;
 pub mod edge_list;
 pub mod laplacian;
 pub mod matrix_market;
@@ -27,7 +26,6 @@ pub mod matrix_market;
 pub use convert::{convert_checked, ConversionResult, RangeViolation};
 pub use coo::CooMatrix;
 pub use csr::CsrMatrix;
-pub use decoded::CsrDecoded;
 pub use edge_list::{read_edge_list, read_edge_list_str, EdgeList};
 pub use laplacian::{combinatorial_laplacian, normalized_laplacian};
 pub use matrix_market::{read_matrix_market, read_matrix_market_str, write_matrix_market};

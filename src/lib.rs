@@ -16,7 +16,7 @@
 //! * [`store`] — the persistent content-addressed experiment store that
 //!   makes harness runs resumable and warm-startable,
 //! * [`obs`] — the observability layer: metrics registry, tracing spans,
-//!   and the `run_manifest/v1` JSON schema machinery,
+//!   and the `run_manifest/v2` JSON schema machinery,
 //! * [`serve`] — the `lpa-serve` daemon/client: a long-running experiment
 //!   service with admission control, backpressure and streaming progress.
 

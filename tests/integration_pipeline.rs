@@ -2,6 +2,7 @@
 //! exercised through the facade crate exactly as a downstream user would.
 
 use lp_arnoldi::arith::types::{Posit16, Takum16};
+use lp_arnoldi::arith::Decoded;
 use lp_arnoldi::datagen::{graph_laplacian_corpus, CorpusConfig, GraphClass};
 use lp_arnoldi::experiments::{
     cumulative_distribution, ExperimentConfig, ExperimentPlan, FormatTag, Metric,
@@ -20,14 +21,15 @@ fn graph_laplacian_eigenvalues_in_low_precision_formats() {
     let mut ref_eigs = ps64.real_eigenvalues();
     ref_eigs.sort_by(|a, b| b.partial_cmp(a).unwrap());
 
-    fn largest<T: lp_arnoldi::arith::BatchReal>(lap: &lp_arnoldi::CsrMatrix<f64>) -> f64 {
+    fn largest<T: Real>(lap: &lp_arnoldi::CsrMatrix<f64>) -> f64 {
         let a = lap.convert::<T>();
         let opts = ArnoldiOptions { nev: 5, tol: 1e-4, max_restarts: 80, ..Default::default() };
         let (ps, _) = partial_schur(&a, &opts).expect(T::NAME);
         ps.real_eigenvalues().iter().map(|x| x.to_f64()).fold(f64::MIN, f64::max)
     }
-    let p16 = largest::<Posit16>(&lap);
-    let t16 = largest::<Takum16>(&lap);
+    // The emulated formats solve at `Decoded<T>`, as the pipeline does.
+    let p16 = largest::<Decoded<Posit16>>(&lap);
+    let t16 = largest::<Decoded<Takum16>>(&lap);
     assert!((p16 - ref_eigs[0]).abs() < 3e-2, "posit16 {p16} vs {}", ref_eigs[0]);
     assert!((t16 - ref_eigs[0]).abs() < 3e-2, "takum16 {t16} vs {}", ref_eigs[0]);
 }
