@@ -166,7 +166,12 @@ pub fn run_format(
     FormatRun { format, outcome }
 }
 
-fn run_typed<T: Real>(
+/// Run the experiment for a single format at the element type `T`.
+///
+/// [`run_format`] picks `T` for each format; calling this directly with
+/// another element type of the same format (say `Posit32` instead of
+/// `Decoded<Posit32>`) must give the identical outcome.
+pub fn run_typed<T: Real>(
     matrix: &CsrMatrix<f64>,
     reference: &Reference,
     format: FormatTag,

@@ -1,25 +1,42 @@
-//! End-to-end guard for the batch kernel engine: a (matrix × format)
-//! experiment grid run with the engine forced **off** (scalar reference)
-//! and forced **on** (decoded batch kernels) must produce byte-identical
-//! serialized results — both the JSON serialization of the whole
-//! `ExperimentResults` and the `lpa-store` payload encoding of every
-//! outcome.
+//! End-to-end guard for the decoded element type: a (matrix × format)
+//! experiment grid, whose emulated formats [`run_format`] solves at
+//! `Decoded<T>`, must serialize byte-identically to the same grid with
+//! every cell rerun at the plain format type `T` — both the JSON
+//! serialization of the whole `ExperimentResults` and the `lpa-store`
+//! payload encoding of every outcome.
 //!
-//! This is the proof that the engine needs no
+//! This is the proof that the element-type choice needs no
 //! [`lpa_experiments::persist::CODE_VERSION_SALT`] bump: artifacts
-//! persisted by a scalar-engine (or pre-engine) run stay valid under the
-//! batch engine and vice versa, so existing stores warm-start unchanged.
+//! persisted by a run at `T` stay valid at `Decoded<T>` and vice versa, so
+//! existing stores warm-start unchanged.
 //!
-//! The format list deliberately spans every affected backend: the 16-bit
-//! unpack-once tier, the 32-bit soft-float tapered formats the engine
-//! primarily targets, and native float64 as the `Dec = Self` control.
-//!
-//! Kept as a single test in its own integration binary because it toggles
-//! the process-global kernel engine (via the plan's `kernel_batch` knob).
+//! The format list spans the 16-bit table formats, the 32-bit soft-float
+//! tapered formats and native float64, which runs at its own type on both
+//! sides (the control).
 
-use lpa_arith::KernelBatch;
+use lpa_arith::{Bf16, Posit16, Posit32, Takum16, Takum32, F16};
 use lpa_datagen::{general_corpus, CorpusConfig, TestMatrix};
-use lpa_experiments::{persist, ExperimentConfig, ExperimentPlan, FormatTag};
+use lpa_experiments::pipeline::run_typed;
+use lpa_experiments::{
+    compute_reference, persist, run_format, ExperimentConfig, ExperimentPlan, FormatTag, Outcome,
+};
+
+/// One cell with the format's plain type as the element type.
+fn encoded_outcome(tm: &TestMatrix, format: FormatTag, cfg: &ExperimentConfig) -> Outcome {
+    let reference = compute_reference(&tm.matrix, cfg).expect("the grid kept this matrix");
+    let m = &tm.matrix;
+    let r = &reference;
+    match format {
+        FormatTag::Float16 => run_typed::<F16>(m, r, format, cfg),
+        FormatTag::Bfloat16 => run_typed::<Bf16>(m, r, format, cfg),
+        FormatTag::Posit16 => run_typed::<Posit16>(m, r, format, cfg),
+        FormatTag::Takum16 => run_typed::<Takum16>(m, r, format, cfg),
+        FormatTag::Posit32 => run_typed::<Posit32>(m, r, format, cfg),
+        FormatTag::Takum32 => run_typed::<Takum32>(m, r, format, cfg),
+        FormatTag::Float64 => run_format(m, r, format, cfg).outcome,
+        other => panic!("{other:?} is not in this grid"),
+    }
+}
 
 #[test]
 fn batch_engine_grid_serializes_identically_to_scalar() {
@@ -48,27 +65,53 @@ fn batch_engine_grid_serializes_identically_to_scalar() {
         ..Default::default()
     };
 
-    let plan = || ExperimentPlan::over(&corpus).formats(&formats).config(cfg.clone());
-    let scalar = plan().kernel_batch(KernelBatch::Scalar).run();
-    let batch = plan().kernel_batch(KernelBatch::Batch).run();
+    let decoded = ExperimentPlan::over(&corpus)
+        .formats(&formats)
+        .config(cfg.clone())
+        .run();
+    assert!(!decoded.matrices.is_empty(), "every reference solve failed");
+    let solved = |f: FormatTag| {
+        decoded
+            .outcomes_for(f)
+            .iter()
+            .any(|o| matches!(o, Outcome::Errors(_)))
+    };
+    assert!(
+        solved(FormatTag::Posit32) && solved(FormatTag::Float16),
+        "the grid must compare solved cells, not only failures"
+    );
+
+    // The same grid, every cell rerun at the plain type.
+    let mut encoded = decoded.clone();
+    for mr in &mut encoded.matrices {
+        let tm = corpus
+            .iter()
+            .find(|tm| tm.name == mr.name)
+            .expect("grid row from the corpus");
+        for (format, outcome) in &mut mr.outcomes {
+            *outcome = encoded_outcome(tm, *format, &cfg);
+        }
+    }
 
     // The whole result object, serialization included, must not change.
-    let scalar_json = serde_json::to_string(&scalar).expect("serialize scalar-engine results");
-    let batch_json = serde_json::to_string(&batch).expect("serialize batch-engine results");
-    assert_eq!(scalar_json, batch_json, "batch kernel engine changed experiment results");
+    let decoded_json = serde_json::to_string(&decoded).expect("serialize decoded results");
+    let encoded_json = serde_json::to_string(&encoded).expect("serialize encoded results");
+    assert_eq!(
+        decoded_json, encoded_json,
+        "the decoded element type changed experiment results"
+    );
 
     // And neither must the store payload bytes of any outcome: this is the
     // exact encoding persisted under CODE_VERSION_SALT-derived keys.
-    assert!(!scalar.matrices.is_empty(), "every reference solve failed");
-    for (ms, mb) in scalar.matrices.iter().zip(&batch.matrices) {
-        for ((fs, os), (fb, ob)) in ms.outcomes.iter().zip(&mb.outcomes) {
-            assert_eq!(fs, fb);
+    for (md, me) in decoded.matrices.iter().zip(&encoded.matrices) {
+        for ((fd, od), (fe, oe)) in md.outcomes.iter().zip(&me.outcomes) {
+            assert_eq!(fd, fe);
             assert_eq!(
-                persist::encode_outcome(os),
-                persist::encode_outcome(ob),
+                persist::encode_outcome(od),
+                persist::encode_outcome(oe),
                 "persisted outcome bytes diverged for {} / {:?}",
-                ms.name,
-                fs
+                md.name,
+                fd
             );
         }
     }
