@@ -6,13 +6,14 @@
 //! `lpa_numerics::NumericsConfig::builtin`; the cross-check lives in
 //! `lpa_experiments::numerics` so a one-sided bump fails loudly instead of
 //! silently serving stale cached artifacts.
+//!
+//! The 16-bit formats have no subsystem of their own: like the 32/64-bit
+//! formats they run on the soft-float kernel and the `Decoded<T>` rounders,
+//! so `lpa_numerics`' retired `dec16_tables` feature has no constant here.
 
 /// The shared integer soft-float kernel (`softfloat` module) every emulated
 /// format rounds through.
 pub const SOFTFLOAT_KERNEL: u32 = 1;
-
-/// The unpack-once 16-bit decode tables (`unpacked` module, Lut16 tier).
-pub const DEC16_TABLES: u32 = 1;
 
 /// The value-level and fused rounders every `Decoded<T>` op rounds
 /// through (`round` and `fused` modules).

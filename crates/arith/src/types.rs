@@ -2,21 +2,16 @@
 //! [`Real`](crate::Real).
 //!
 //! Each type is a thin newtype over its storage word.  Arithmetic is served
-//! by one of three backends, chosen per width (see [`crate::lut`]):
+//! by one of two backends, chosen per width (see [`crate::lut`]):
 //!
 //! * **8-bit formats** route every operation through precomputed lookup
 //!   tables ([`crate::lut::Lut8`]), generated once per format from the
 //!   soft-float path — bit-identical to it by construction and several
 //!   times faster.
-//! * **16-bit formats** unpack once through a 64 Ki-entry table
-//!   ([`crate::lut::Lut16`]): binary ops read both operands pre-decoded and
-//!   only pay the soft-float core for rounding/encode, unary ops
-//!   (`neg`/`abs`/`sqrt`/`recip`) are a single indexed load, and a
-//!   64 Ki-entry decode table ([`crate::lut::Decode16`]) serves `to_f64`,
-//!   comparisons and zero/NaN classification.
-//! * **32/64-bit formats** use the soft-float kernel directly; their
-//!   significands do not fit in `f64`, so correctly rounded emulation needs
-//!   the wide integer path.
+//! * **16/32/64-bit formats** use the soft-float kernel directly: a full
+//!   binary table is out of reach from 16 bits up, and the experiment
+//!   pipeline solves these formats at [`crate::Decoded`], which keeps
+//!   operands decoded between ops instead of tabulating the decode.
 //!
 //! Every type also exposes the raw reference path (`softfloat_add` & co.)
 //! regardless of backend, which the exhaustive equivalence tests and the
@@ -212,7 +207,7 @@ macro_rules! softfloat_ops {
     };
 }
 
-/// `Real` items identical across all three backends (expands inside an
+/// `Real` items identical across both backends (expands inside an
 /// `impl Real` block): constants, constructors and the storage-pattern
 /// constants.
 macro_rules! real_storage_core {
@@ -246,22 +241,23 @@ macro_rules! real_storage_core {
     };
 }
 
-/// The [`crate::UnpackedReal`] implementation shared by every format whose
-/// decoded form is the [`Unpacked`] representation (the 16-bit and the
-/// soft-float 32/64-bit backends): the codec bridge, the codec's
-/// value-level rounder (`crate::round::$codec`) and its fused-round plan,
-/// which is everything [`crate::Decoded`] needs to run this format's ops
-/// without the bit-pattern round trip (verified in
+/// Soft-float backend: operators and `Real` through the decode → kernel →
+/// round path (the 16-, 32- and 64-bit formats), plus the
+/// [`crate::UnpackedReal`] hooks [`crate::Decoded`] runs this format's ops
+/// on: the codec bridge, the codec's value-level rounder
+/// (`crate::round::$codec`) and its fused-round plan (verified in
 /// `tests/batch_differential.rs` and `tests/decoded_conformance.rs`).
-macro_rules! unpacked_real {
-    ($name:ident, $codec:ident, $spec:expr, $dec:expr) => {
+macro_rules! soft_backend {
+    ($name:ident, $storage:ty, $fmtname:expr, $bits:expr, $max_pat:expr, $min_pat:expr,
+     $codec:ident, $spec:expr) => {
+        softfloat_ops!($name);
+
         impl crate::decoded::UnpackedReal for $name {
             const ROUND: crate::round::RoundPlan = crate::round::plan::$codec(&$spec);
 
             #[inline]
             fn decode(self) -> Unpacked {
-                let decode: fn($name) -> Unpacked = $dec;
-                decode(self)
+                self.unpack()
             }
             #[inline]
             fn encode(u: Unpacked) -> Self {
@@ -272,16 +268,6 @@ macro_rules! unpacked_real {
                 crate::round::$codec(u, &$spec)
             }
         }
-    };
-}
-
-/// Soft-float backend: operators and `Real` through the decode → kernel →
-/// round path (the 32- and 64-bit formats, whose significands exceed `f64`).
-macro_rules! soft_backend {
-    ($name:ident, $storage:ty, $fmtname:expr, $bits:expr, $max_pat:expr, $min_pat:expr,
-     $codec:ident, $spec:expr) => {
-        softfloat_ops!($name);
-        unpacked_real!($name, $codec, $spec, |x: $name| x.unpack());
 
         impl PartialEq for $name {
             #[inline]
@@ -327,57 +313,25 @@ macro_rules! soft_backend {
     };
 }
 
-/// Comparison operators through the decoded `f64` value, shared by both
-/// table-served backends.  Every 8/16-bit value decodes exactly into `f64`,
-/// and `f64` comparison semantics coincide with
-/// `Unpacked::partial_cmp_value` (NaN/NaR unordered, zeros equal regardless
-/// of sign) — verified per format in `tests/lut_exhaustive.rs`.
-macro_rules! decoded_cmp_backend {
-    ($name:ident) => {
-        impl PartialEq for $name {
-            #[inline]
-            fn eq(&self, o: &Self) -> bool {
-                self.to_f64() == o.to_f64()
-            }
-        }
-        impl PartialOrd for $name {
-            #[inline]
-            fn partial_cmp(&self, o: &Self) -> Option<Ordering> {
-                self.to_f64().partial_cmp(&o.to_f64())
-            }
-        }
-    };
-}
-
-/// Zero/NaN/finite classification through the decoded `f64` value, shared
-/// by both table-served backends (expands inside their `impl Real` blocks).
-macro_rules! decoded_class_core {
-    () => {
-        #[inline]
-        fn is_nan(self) -> bool {
-            self.to_f64().is_nan()
-        }
-        #[inline]
-        fn is_finite(self) -> bool {
-            self.to_f64().is_finite()
-        }
-        #[inline]
-        fn is_zero(self) -> bool {
-            self.to_f64() == 0.0
-        }
-    };
-}
-
 /// Lookup-table backend for the 8-bit formats: every operation is one or
 /// two table loads.  The tables are built from the soft-float path on first
-/// use, so results are bit-identical to [`soft_backend!`]'s.
+/// use, so results are bit-identical to [`soft_backend!`]'s.  Comparisons
+/// and classification go through the decoded `f64` value: every 8-bit
+/// value decodes exactly into `f64`, and `f64` comparison semantics
+/// coincide with `Unpacked::partial_cmp_value` (NaN/NaR unordered, zeros
+/// equal regardless of sign) — verified exhaustively in
+/// `tests/lut_exhaustive.rs`.
 macro_rules! lut8_backend {
     ($name:ident, $fmtname:expr, $max_pat:expr, $min_pat:expr, $codec:ident, $spec:expr) => {
         impl $name {
-            /// This format's operation tables (built on first use).
+            /// This format's operation tables (built on first use).  The
+            /// `static` lives in this macro expansion, so every format gets
+            /// its own (a `static` in a generic function would be shared by
+            /// all its instantiations).
             #[inline]
             fn lut() -> &'static crate::lut::Lut8 {
-                crate::lut::format_table!(crate::lut::Lut8, || {
+                static TABLE: std::sync::OnceLock<crate::lut::Lut8> = std::sync::OnceLock::new();
+                TABLE.get_or_init(|| {
                     crate::lut::Lut8::build(
                         |bits| $codec::decode(bits as u64, &$spec),
                         |u| $codec::encode(u, &$spec) as u8,
@@ -422,11 +376,21 @@ macro_rules! lut8_backend {
             }
         }
 
-        decoded_cmp_backend!($name);
+        impl PartialEq for $name {
+            #[inline]
+            fn eq(&self, o: &Self) -> bool {
+                self.to_f64() == o.to_f64()
+            }
+        }
+        impl PartialOrd for $name {
+            #[inline]
+            fn partial_cmp(&self, o: &Self) -> Option<Ordering> {
+                self.to_f64().partial_cmp(&o.to_f64())
+            }
+        }
 
         impl Real for $name {
             real_storage_core!($name, u8, $fmtname, 8, $max_pat, $min_pat);
-            decoded_class_core!();
 
             #[inline]
             fn to_f64(self) -> f64 {
@@ -446,94 +410,17 @@ macro_rules! lut8_backend {
                 // `Real::recip` default exactly.
                 $name(Self::lut().recip(self.0))
             }
-        }
-    };
-}
-
-/// One binary operator of the unpack-once 16-bit backend: both operands
-/// come pre-decoded from the [`crate::lut::Lut16`] table (exactly what the
-/// codec's `decode` returns, so the result is bit-identical to the
-/// reference path), and only the kernel combine + round/encode still runs.
-macro_rules! dec16_binop {
-    ($name:ident, $op_trait:ident, $op_fn:ident, $kernel:ident) => {
-        impl core::ops::$op_trait for $name {
-            type Output = Self;
             #[inline]
-            fn $op_fn(self, o: Self) -> Self {
-                let lut = Self::lut16();
-                Self::pack(&softfloat::$kernel(lut.unpack(self.0), lut.unpack(o.0)))
-            }
-        }
-    };
-}
-
-/// Unpack-once backend for the 16-bit formats: binary ops read both
-/// operands pre-decoded from a 64 Ki-entry table and only pay the
-/// soft-float core for the combine/round/encode step, unary ops are a
-/// single indexed load from full result tables, and `to_f64`, comparisons
-/// and classification skip the unpack via the `f64` decode table (every
-/// 16-bit value is exact in `f64`).  Bit-identical to the soft-float
-/// reference path (`softfloat_*`) by construction.
-macro_rules! dec16_backend {
-    ($name:ident, $fmtname:expr, $max_pat:expr, $min_pat:expr, $codec:ident, $spec:expr) => {
-        impl $name {
-            /// This format's `bits → f64` decode table (built on first use).
-            #[inline]
-            fn decode_table() -> &'static crate::lut::Decode16 {
-                crate::lut::format_table!(crate::lut::Decode16, || {
-                    crate::lut::Decode16::build(|bits| $codec::decode(bits as u64, &$spec))
-                })
-            }
-
-            /// This format's unpack-once tables (built on first use).
-            #[inline]
-            fn lut16() -> &'static crate::lut::Lut16 {
-                crate::lut::format_table!(crate::lut::Lut16, || {
-                    crate::lut::Lut16::build(
-                        |bits| $codec::decode(bits as u64, &$spec),
-                        |u| $codec::encode(u, &$spec) as u16,
-                    )
-                })
-            }
-        }
-
-        dec16_binop!($name, Add, add, add);
-        dec16_binop!($name, Sub, sub, sub);
-        dec16_binop!($name, Mul, mul, mul);
-        dec16_binop!($name, Div, div, div);
-        // Decoding reads the unpack-once table: one indexed load.
-        unpacked_real!($name, $codec, $spec, |x: $name| *Self::lut16().unpack(x.0));
-        impl core::ops::Neg for $name {
-            type Output = Self;
-            #[inline]
-            fn neg(self) -> Self {
-                $name(Self::lut16().neg(self.0))
-            }
-        }
-
-        decoded_cmp_backend!($name);
-
-        impl Real for $name {
-            real_storage_core!($name, u16, $fmtname, 16, $max_pat, $min_pat);
-            decoded_class_core!();
-
-            #[inline]
-            fn to_f64(self) -> f64 {
-                Self::decode_table().decode(self.0)
+            fn is_nan(self) -> bool {
+                self.to_f64().is_nan()
             }
             #[inline]
-            fn abs(self) -> Self {
-                $name(Self::lut16().abs(self.0))
+            fn is_finite(self) -> bool {
+                self.to_f64().is_finite()
             }
             #[inline]
-            fn sqrt(self) -> Self {
-                $name(Self::lut16().sqrt(self.0))
-            }
-            #[inline]
-            fn recip(self) -> Self {
-                // Table built as `one / x` through the kernel, matching the
-                // `Real::recip` default exactly.
-                $name(Self::lut16().recip(self.0))
+            fn is_zero(self) -> bool {
+                self.to_f64() == 0.0
             }
         }
     };
@@ -549,16 +436,6 @@ macro_rules! lut8_format {
     };
 }
 
-macro_rules! dec16_format {
-    (
-        $(#[$meta:meta])*
-        $name:ident, $fmtname:expr, $codec:ident, $spec:expr, $max_pat:expr, $min_pat:expr
-    ) => {
-        format_shell!($(#[$meta])* $name, u16, $fmtname, $codec, $spec);
-        dec16_backend!($name, $fmtname, $max_pat, $min_pat, $codec, $spec);
-    };
-}
-
 macro_rules! soft_format {
     (
         $(#[$meta:meta])*
@@ -570,14 +447,14 @@ macro_rules! soft_format {
     };
 }
 
-dec16_format!(
+soft_format!(
     /// IEEE 754 binary16 (`float16`).
-    F16, "float16", ieee, ieee::BINARY16,
+    F16, u16, "float16", 16, ieee, ieee::BINARY16,
     ieee::BINARY16.max_finite_bits(), ieee::BINARY16.min_positive_bits()
 );
-dec16_format!(
+soft_format!(
     /// Google Brain `bfloat16` (8 exponent bits, 7 fraction bits).
-    Bf16, "bfloat16", ieee, ieee::BFLOAT16,
+    Bf16, u16, "bfloat16", 16, ieee, ieee::BFLOAT16,
     ieee::BFLOAT16.max_finite_bits(), ieee::BFLOAT16.min_positive_bits()
 );
 lut8_format!(
@@ -596,9 +473,9 @@ lut8_format!(
     Posit8, "posit8", posit, posit::POSIT8,
     posit::POSIT8.maxpos_pattern(), posit::POSIT8.minpos_pattern()
 );
-dec16_format!(
+soft_format!(
     /// 16-bit posit, 2022 standard (es = 2).
-    Posit16, "posit16", posit, posit::POSIT16,
+    Posit16, u16, "posit16", 16, posit, posit::POSIT16,
     posit::POSIT16.maxpos_pattern(), posit::POSIT16.minpos_pattern()
 );
 soft_format!(
@@ -617,10 +494,10 @@ lut8_format!(
     Posit8Es0, "posit8(es=0)", posit, posit::POSIT8_ES0,
     posit::POSIT8_ES0.maxpos_pattern(), posit::POSIT8_ES0.minpos_pattern()
 );
-dec16_format!(
+soft_format!(
     /// Legacy 16-bit posit with es = 1 (pre-2022 draft), used by the ablation
     /// study only.
-    Posit16Es1, "posit16(es=1)", posit, posit::POSIT16_ES1,
+    Posit16Es1, u16, "posit16(es=1)", 16, posit, posit::POSIT16_ES1,
     posit::POSIT16_ES1.maxpos_pattern(), posit::POSIT16_ES1.minpos_pattern()
 );
 
@@ -629,9 +506,9 @@ lut8_format!(
     Takum8, "takum8", takum, takum::TAKUM8,
     takum::TAKUM8.max_pattern(), takum::TAKUM8.min_pattern()
 );
-dec16_format!(
+soft_format!(
     /// 16-bit linear takum.
-    Takum16, "takum16", takum, takum::TAKUM16,
+    Takum16, u16, "takum16", 16, takum, takum::TAKUM16,
     takum::TAKUM16.max_pattern(), takum::TAKUM16.min_pattern()
 );
 soft_format!(
@@ -833,8 +710,6 @@ mod tests {
             let (x8, y8) = (Takum8::from_bits(a), Takum8::from_bits(a.wrapping_mul(37)));
             assert_eq!((x8 + y8).to_bits(), x8.softfloat_add(y8).to_bits());
             assert_eq!((x8 * y8).to_bits(), x8.softfloat_mul(y8).to_bits());
-            let x16 = Posit16::from_bits((a as u16) << 7 | 0x1d);
-            assert_eq!(x16.to_f64(), x16.softfloat_to_f64());
         }
     }
 }

@@ -12,19 +12,24 @@
 //! result (so the next op in a chain sees identical input), and encoding it
 //! must give `T`'s result bits.  Operands come from the boundary corpora
 //! (specials, saturation neighbourhoods, every regime / exponent window
-//! edge, both sign halves) and from random bit patterns.
+//! edge, both sign halves) and from random bit patterns; for the 16-bit
+//! formats every bit pattern also goes through the unary ops, `x + 0` and
+//! `x * 1`.
 
 mod common;
 
 use std::cmp::Ordering;
+use std::fmt;
 
 use common::{boundary_corpus_16, boundary_corpus_32, boundary_corpus_64};
 use lpa_arith::{types::*, Decoded, Real, UnpackedReal};
 use proptest::prelude::*;
 
-/// `d` is exactly the canonical decode of `x`.
+/// `d` is exactly the canonical decode of `x`.  `what` is only rendered on
+/// failure, so callers pass `format_args!` and the exhaustive sweep pays
+/// no string formatting per check.
 #[track_caller]
-fn assert_same<T: UnpackedReal>(d: Decoded<T>, x: T, what: &str) {
+fn assert_same<T: UnpackedReal>(d: Decoded<T>, x: T, what: impl fmt::Display) {
     assert_eq!(
         d.into_dec(),
         x.decode(),
@@ -36,10 +41,10 @@ fn assert_same<T: UnpackedReal>(d: Decoded<T>, x: T, what: &str) {
 #[allow(clippy::neg_cmp_op_on_partial_ord)]
 fn check_pair<T: UnpackedReal>(x: T, y: T) {
     let (dx, dy) = (Decoded::decode(x), Decoded::decode(y));
-    assert_same(dx + dy, x + y, &format!("{x:?} + {y:?}"));
-    assert_same(dx - dy, x - y, &format!("{x:?} - {y:?}"));
-    assert_same(dx * dy, x * y, &format!("{x:?} * {y:?}"));
-    assert_same(dx / dy, x / y, &format!("{x:?} / {y:?}"));
+    assert_same(dx + dy, x + y, format_args!("{x:?} + {y:?}"));
+    assert_same(dx - dy, x - y, format_args!("{x:?} - {y:?}"));
+    assert_same(dx * dy, x * y, format_args!("{x:?} * {y:?}"));
+    assert_same(dx / dy, x / y, format_args!("{x:?} / {y:?}"));
     let mut acc = dx;
     acc += dy;
     acc -= dx;
@@ -48,7 +53,7 @@ fn check_pair<T: UnpackedReal>(x: T, y: T) {
     assert_same(
         acc,
         (x + y - x) * y / x,
-        &format!("compound ops on {x:?}, {y:?}"),
+        format_args!("compound ops on {x:?}, {y:?}"),
     );
     assert_eq!(
         dx.partial_cmp(&dy),
@@ -59,22 +64,22 @@ fn check_pair<T: UnpackedReal>(x: T, y: T) {
     assert_eq!(dx == dy, x == y, "{x:?} == {y:?} in {}", T::NAME);
     assert_eq!(dx < dy, x < y, "{x:?} < {y:?} in {}", T::NAME);
     assert_eq!(!(dx >= dy), !(x >= y), "{x:?} >= {y:?} in {}", T::NAME);
-    assert_same(dx.max(dy), x.max(y), &format!("max({x:?}, {y:?})"));
-    assert_same(dx.min(dy), x.min(y), &format!("min({x:?}, {y:?})"));
+    assert_same(dx.max(dy), x.max(y), format_args!("max({x:?}, {y:?})"));
+    assert_same(dx.min(dy), x.min(y), format_args!("min({x:?}, {y:?})"));
     assert_same(
         dx.mul_add(dy, dx),
         x.mul_add(y, x),
-        &format!("mul_add({x:?}, {y:?})"),
+        format_args!("mul_add({x:?}, {y:?})"),
     );
 }
 
 fn check_unary<T: UnpackedReal>(x: T) {
     let d = Decoded::decode(x);
-    assert_same(-d, -x, &format!("-{x:?}"));
-    assert_same(d.abs(), x.abs(), &format!("abs {x:?}"));
-    assert_same(d.sqrt(), x.sqrt(), &format!("sqrt {x:?}"));
-    assert_same(d.recip(), x.recip(), &format!("recip {x:?}"));
-    assert_same(d.powi(3), x.powi(3), &format!("powi {x:?}"));
+    assert_same(-d, -x, format_args!("-{x:?}"));
+    assert_same(d.abs(), x.abs(), format_args!("abs {x:?}"));
+    assert_same(d.sqrt(), x.sqrt(), format_args!("sqrt {x:?}"));
+    assert_same(d.recip(), x.recip(), format_args!("recip {x:?}"));
+    assert_same(d.powi(3), x.powi(3), format_args!("powi {x:?}"));
     assert_eq!(d.is_nan(), x.is_nan(), "is_nan {x:?}");
     assert_eq!(d.is_finite(), x.is_finite(), "is_finite {x:?}");
     assert_eq!(d.is_zero(), x.is_zero(), "is_zero {x:?}");
@@ -126,7 +131,7 @@ fn check_constants<T: UnpackedReal>() {
         assert_same(
             Decoded::<T>::from_f64(x),
             T::from_f64(x),
-            &format!("from_f64({x})"),
+            format_args!("from_f64({x})"),
         );
     }
     assert_eq!(<Decoded<T> as Real>::NAME, T::NAME);
@@ -167,6 +172,30 @@ fn ops_match_on_boundary_corpus_16() {
     check_corpus(&corpus16(Posit16::from_bits));
     check_corpus(&corpus16(Posit16Es1::from_bits));
     check_corpus(&corpus16(Takum16::from_bits));
+}
+
+/// Every bit pattern of a 16-bit format through [`check_unary`], plus
+/// `x + 0` and `x * 1` (both operands through the decode, the result
+/// through the rounder).
+fn sweep_16<T: UnpackedReal>(from_bits: fn(u16) -> T) {
+    let (zero, one) = (T::zero(), T::one());
+    let (dzero, done) = (Decoded::decode(zero), Decoded::decode(one));
+    for bits in 0..=u16::MAX {
+        let x = from_bits(bits);
+        check_unary(x);
+        let d = Decoded::decode(x);
+        assert_same(d + dzero, x + zero, format_args!("{x:?} + 0"));
+        assert_same(d * done, x * one, format_args!("{x:?} * 1"));
+    }
+}
+
+#[test]
+fn every_16_bit_pattern_matches() {
+    sweep_16(F16::from_bits);
+    sweep_16(Bf16::from_bits);
+    sweep_16(Posit16::from_bits);
+    sweep_16(Posit16Es1::from_bits);
+    sweep_16(Takum16::from_bits);
 }
 
 #[test]
@@ -221,9 +250,9 @@ fn zero_compares_equal_across_signs_and_nan_is_unordered() {
 /// The fused add/sub/mul on one pair, against `T`'s scalar operators.
 fn check_fused<T: UnpackedReal>(x: T, y: T) {
     let (dx, dy) = (Decoded::decode(x), Decoded::decode(y));
-    assert_same(dx + dy, x + y, &format!("{x:?} + {y:?}"));
-    assert_same(dx - dy, x - y, &format!("{x:?} - {y:?}"));
-    assert_same(dx * dy, x * y, &format!("{x:?} * {y:?}"));
+    assert_same(dx + dy, x + y, format_args!("{x:?} + {y:?}"));
+    assert_same(dx - dy, x - y, format_args!("{x:?} - {y:?}"));
+    assert_same(dx * dy, x * y, format_args!("{x:?} * {y:?}"));
 }
 
 /// The pairs around `x` and `y` the fused ops' swap, sign-mix, zero and
@@ -303,7 +332,7 @@ fn chain<T: UnpackedReal>(seed: u64) {
                 d = d.max(dc) - d.min(dc) * Decoded::half();
             }
         }
-        assert_same(d, x, &format!("chain step {step}"));
+        assert_same(d, x, format_args!("chain step {step}"));
     }
 }
 

@@ -3,17 +3,17 @@
 //! per format for scalar add/mul (the format's own operators), per-element
 //! dot and per-nonzero SpMV (at the element type the solver runs: the
 //! emulated 16/32/64-bit formats at `Decoded<T>`, every other format at
-//! its own type), the soft-float baselines for the table-served formats,
-//! the end-to-end wall time of a Figure-1 style experiment run, and the
-//! cold-vs-warm cost of the same run through the persistent `lpa-store`
-//! (the `store` block: hit/miss counters and wall times), and the
-//! disarmed-span overhead pair (`<format>_obs`: the decoded dot with and
-//! without an `lpa_obs::span` opened per call).  The run also asserts
+//! its own type), the soft-float baselines for the table-served 8-bit
+//! formats, the end-to-end wall time of a Figure-1 style experiment run,
+//! and the cold-vs-warm cost of the same run through the persistent
+//! `lpa-store` (the `store` block: hit/miss counters and wall times), and
+//! the disarmed-span overhead pair (`<format>_obs`: the decoded dot with
+//! and without an `lpa_obs::span` opened per call).  The run also asserts
 //! the four 8-bit LUT-tier dots stay within 1.5x of each other — the
 //! takum8 outlier from the v6 trajectory must not come back.
 //!
 //! The file gives future PRs a perf trajectory to compare against; keep the
-//! schema (`lpa-bench-micro/v8`) stable or bump the version.  The config
+//! schema (`lpa-bench-micro/v9`) stable or bump the version.  The config
 //! block records the `LPA_FAULTS` and `LPA_OBS` states next to the numbers
 //! — perf is only comparable between runs with matching gate states.  CI
 //! regenerates the file and prints greppable `bench-delta:` lines against
@@ -170,7 +170,7 @@ fn json_name(name: &str) -> String {
     name.to_lowercase().replace([' ', '(', ')', '='], "_").replace("__", "_")
 }
 
-/// Soft-float baseline for a table-served format (same chains as
+/// Soft-float baseline for a table-served 8-bit format (same chains as
 /// `scalar_add_ns`/`scalar_mul_ns` but through the reference path, which
 /// pays the full bitfield decode on every operand).
 macro_rules! softfloat_baseline {
@@ -225,10 +225,6 @@ fn main() {
     softfloat_baseline!(E5M2, &a64, formats);
     softfloat_baseline!(Posit8, &a64, formats);
     softfloat_baseline!(Takum8, &a64, formats);
-    softfloat_baseline!(F16, &a64, formats);
-    softfloat_baseline!(Bf16, &a64, formats);
-    softfloat_baseline!(Posit16, &a64, formats);
-    softfloat_baseline!(Takum16, &a64, formats);
     // Disarmed tracing-span overhead pairs (the obs analogue of the
     // fault-point pair in `micro_kernels`).
     formats.push(obs_span_entry::<Decoded<Posit32>>());
@@ -327,7 +323,7 @@ fn main() {
     };
 
     let summary = Value::Map(vec![
-        ("schema".to_string(), Value::Str("lpa-bench-micro/v8".to_string())),
+        ("schema".to_string(), Value::Str("lpa-bench-micro/v9".to_string())),
         (
             "config".to_string(),
             Value::Map(vec![

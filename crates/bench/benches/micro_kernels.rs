@@ -54,10 +54,9 @@ fn bench_scalars(c: &mut Criterion) {
     scalar_ops::<Dd>(c, "float128_dd");
 }
 
-/// The table-served formats against their own soft-float reference path, on
-/// the same mul-add chain: the 8-bit LUT backend (acceptance gate: >= 3x
-/// speedup, bit-identical results) and the unpack-once 16-bit backend
-/// (operand decodes from the table, kernel round/encode only).
+/// The table-served 8-bit formats against their own soft-float reference
+/// path, on the same mul-add chain (acceptance gate: >= 3x speedup,
+/// bit-identical results).
 fn bench_lut_vs_softfloat(c: &mut Criterion) {
     macro_rules! backend_pair {
         ($t:ty, $label:expr) => {{
@@ -92,10 +91,6 @@ fn bench_lut_vs_softfloat(c: &mut Criterion) {
     backend_pair!(E5M2, "ofp8_e5m2");
     backend_pair!(Posit8, "posit8");
     backend_pair!(Takum8, "takum8");
-    backend_pair!(F16, "float16");
-    backend_pair!(Bf16, "bfloat16");
-    backend_pair!(Posit16, "posit16");
-    backend_pair!(Takum16, "takum16");
 }
 
 /// Dot operands whose 1024-term accumulation stays inside every format's

@@ -11,7 +11,7 @@
 
 pub use lpa_numerics::{
     relevant_features, Feature, FormatClass, NumericsConfig, RecordedNumerics, Slice,
-    ARNOLDI_RESTART, BATCH_ROUND, DD_REFERENCE, DEC16_TABLES, LUT8_TABLES, SOFTFLOAT_KERNEL,
+    ARNOLDI_RESTART, BATCH_ROUND, DD_REFERENCE, LUT8_TABLES, SOFTFLOAT_KERNEL,
 };
 
 /// The builtin table's version of each feature a tier declares, checked
@@ -22,7 +22,6 @@ fn check_declared(builtin: &NumericsConfig) {
         (DD_REFERENCE, lpa_arith::numerics_versions::DD_REFERENCE),
         (ARNOLDI_RESTART, lpa_arnoldi::ARNOLDI_RESTART_VERSION),
         (SOFTFLOAT_KERNEL, lpa_arith::numerics_versions::SOFTFLOAT_KERNEL),
-        (DEC16_TABLES, lpa_arith::numerics_versions::DEC16_TABLES),
         (BATCH_ROUND, lpa_arith::numerics_versions::BATCH_ROUND),
         (LUT8_TABLES, lpa_arith::numerics_versions::LUT8_TABLES),
     ];
@@ -92,7 +91,7 @@ mod tests {
         for id in [8u8, 11] {
             let slice = Slice::Outcome { format: Some(id) };
             let relevant = relevant_features(slice);
-            for f in [SOFTFLOAT_KERNEL, DEC16_TABLES, BATCH_ROUND, LUT8_TABLES] {
+            for f in [SOFTFLOAT_KERNEL, BATCH_ROUND, LUT8_TABLES] {
                 assert!(!relevant.contains(&f), "format id {id} vs {:?}", f.name());
             }
         }

@@ -10,9 +10,9 @@
 //! persisted by a run at `T` stay valid at `Decoded<T>` and vice versa, so
 //! existing stores warm-start unchanged.
 //!
-//! The format list spans the 16-bit table formats, the 32-bit soft-float
-//! tapered formats and native float64, which runs at its own type on both
-//! sides (the control).
+//! The format list spans the 16-bit formats, the 32-bit tapered formats
+//! and native float64, which runs at its own type on both sides (the
+//! control).
 
 use lpa_arith::{Bf16, Posit16, Posit32, Takum16, Takum32, F16};
 use lpa_datagen::{general_corpus, CorpusConfig, TestMatrix};

@@ -5,11 +5,12 @@
 //! reference and outcome at once. This crate replaces the salt with a
 //! structured table (in the spirit of Sui's `sui-protocol-config`): every
 //! numerics-relevant feature — the double-double reference solver, the
-//! Arnoldi restart scheme, the shared soft-float kernel, the 16-bit decode
-//! tables, the `Decoded<T>` rounders, the 8-bit result LUTs, and one codec feature
-//! per number format — carries an integer version, and each artifact's key
-//! hashes only the versions that can affect *that* artifact's kind and
-//! format (its [`Slice`]).
+//! Arnoldi restart scheme, the shared soft-float kernel, the `Decoded<T>`
+//! rounders, the 8-bit result LUTs, and one codec feature per number
+//! format — carries an integer version, and each artifact's key hashes only
+//! the versions that can affect *that* artifact's kind and format (its
+//! [`Slice`]). One id is retired: `dec16_tables` versioned the 16-bit
+//! decode tables, which are gone, so no slice depends on it.
 //!
 //! ## Byte stability
 //!
@@ -24,11 +25,11 @@
 //! ## Bump policy (replaces the salt-bump rule)
 //!
 //! A PR that changes computed numerics bumps the version of the *feature it
-//! changed* — `batch_round` for the `Decoded<T>` rounders, `dec16_tables` for the
-//! 16-bit decode tables, `fmt_posit16` for a posit16 codec fix, and so on —
-//! in [`builtin`](NumericsConfig::builtin). Only the affected (kind,
-//! format) slices then miss; everything else stays warm. Changes that
-//! cannot affect results must not bump anything.
+//! changed* — `batch_round` for the `Decoded<T>` rounders, `lut8_tables`
+//! for the 8-bit result tables, `fmt_posit16` for a posit16 codec fix, and
+//! so on — in [`builtin`](NumericsConfig::builtin). Only the affected
+//! (kind, format) slices then miss; everything else stays warm. Changes
+//! that cannot affect results must not bump anything.
 //!
 //! ## The `LPA_NUMERICS_BUMP` knob
 //!
@@ -70,7 +71,9 @@ pub const DD_REFERENCE: Feature = Feature(0);
 pub const ARNOLDI_RESTART: Feature = Feature(1);
 /// The shared integer soft-float kernel every emulated format rounds through.
 pub const SOFTFLOAT_KERNEL: Feature = Feature(2);
-/// The unpack-once 16-bit decode tables (Lut16).
+/// Retired: the 16-bit decode tables this versioned are gone, and no slice
+/// depends on it any more, so bumping it moves no key. The id and name stay
+/// reserved (both are append-only: persisted in frames, hashed into keys).
 pub const DEC16_TABLES: Feature = Feature(3);
 /// The value-level and fused rounders every `Decoded<T>` op rounds through
 /// (the name predates `Decoded<T>` and stays: names are key material).
@@ -112,11 +115,10 @@ pub const FEATURE_NAMES: [&str; FEATURE_COUNT] = [
 pub enum FormatClass {
     /// 8-bit formats: full-result LUTs (built by the soft-float kernel).
     Lut8,
-    /// 16-bit formats: unpack-once decode tables, solved at `Decoded<T>`.
-    Dec16,
     /// Hardware `f32`/`f64`: no emulation feature can affect them.
     Native,
-    /// 32/64-bit emulated formats: soft-float ops, solved at `Decoded<T>`.
+    /// 16/32/64-bit emulated formats: soft-float ops, solved at
+    /// `Decoded<T>`.
     Soft,
 }
 
@@ -126,10 +128,10 @@ pub const FORMAT_CLASSES: [FormatClass; FORMAT_COUNT] = [
     FormatClass::Lut8,   // 1  OFP8 E5M2
     FormatClass::Lut8,   // 2  posit8
     FormatClass::Lut8,   // 3  takum8
-    FormatClass::Dec16,  // 4  float16
-    FormatClass::Dec16,  // 5  bfloat16
-    FormatClass::Dec16,  // 6  posit16
-    FormatClass::Dec16,  // 7  takum16
+    FormatClass::Soft,   // 4  float16
+    FormatClass::Soft,   // 5  bfloat16
+    FormatClass::Soft,   // 6  posit16
+    FormatClass::Soft,   // 7  takum16
     FormatClass::Native, // 8  float32
     FormatClass::Soft,   // 9  posit32
     FormatClass::Soft,   // 10 takum32
@@ -194,9 +196,6 @@ pub fn relevant_features(slice: Slice) -> Vec<Feature> {
     if let Slice::Outcome { format: Some(id) } = slice {
         match FORMAT_CLASSES.get(id as usize) {
             Some(FormatClass::Lut8) => set.extend([SOFTFLOAT_KERNEL, LUT8_TABLES]),
-            Some(FormatClass::Dec16) => {
-                set.extend([SOFTFLOAT_KERNEL, DEC16_TABLES, BATCH_ROUND])
-            }
             Some(FormatClass::Soft) => set.extend([SOFTFLOAT_KERNEL, BATCH_ROUND]),
             // Native formats round in hardware; unknown ids (a newer
             // binary's format) contribute nothing attributable.
@@ -448,17 +447,26 @@ mod tests {
         let base = NumericsConfig::baseline();
         let outcome = |id: u8| Slice::Outcome { format: Some(id) };
 
-        // batch_round reaches exactly the batch-routed (Dec16 + Soft)
-        // outcome slices, never references, natives or 8-bit LUT formats.
+        // batch_round reaches exactly the soft-float (16/32/64-bit
+        // emulated) outcome slices, never references, natives or 8-bit LUT
+        // formats.
         let bumped = base.with_version(BATCH_ROUND, 2);
         assert_eq!(bumped.key_material(Slice::Reference), base.key_material(Slice::Reference));
         for id in 0..FORMAT_COUNT as u8 {
             let changed = bumped.key_material(outcome(id)) != base.key_material(outcome(id));
-            let batch_routed = matches!(
-                FORMAT_CLASSES[id as usize],
-                FormatClass::Dec16 | FormatClass::Soft
+            let soft = FORMAT_CLASSES[id as usize] == FormatClass::Soft;
+            assert_eq!(changed, soft, "format id {id}");
+        }
+
+        // The retired dec16_tables feature moves no key at all.
+        let bumped = base.with_version(DEC16_TABLES, 2);
+        assert_eq!(bumped.key_material(Slice::Reference), base.key_material(Slice::Reference));
+        for id in 0..FORMAT_COUNT as u8 {
+            assert_eq!(
+                bumped.key_material(outcome(id)),
+                base.key_material(outcome(id)),
+                "format id {id}"
             );
-            assert_eq!(changed, batch_routed, "format id {id}");
         }
 
         // dd_reference reaches everything.

@@ -677,7 +677,7 @@ mod tests {
         use lpa_numerics::{NumericsConfig, BATCH_ROUND};
         let (dir, store) = scratch_store("gc-stale");
         // A baseline store: one reference, one outcome per format class —
-        // LUT8 (posit8, id 2), batch-routed dec16 (posit16, id 6), native
+        // LUT8 (posit8, id 2), soft-float (posit16, id 6), native
         // (float64, id 11) — plus one legacy v1 outcome frame with no
         // recorded format or table.
         store.put(ArtifactKind::Reference, hash128(b"ref"), b"r".to_vec()).unwrap();
@@ -708,7 +708,7 @@ mod tests {
             .iter()
             .any(|(k, l, n)| *k == ArtifactKind::Outcome && l == "baseline" && *n == 3));
 
-        // Bump batch_round: exactly the batch-routed posit16 outcome is
+        // Bump batch_round: exactly the soft-float posit16 outcome is
         // stale. The reference, the LUT8 and native outcomes, and the
         // legacy frame (unknown format → only universal features
         // attributable) all survive.
