@@ -1,18 +1,21 @@
-//! Exhaustive unary conformance of the unpack-once 16-bit backend.
+//! Exhaustive conformance of the 16-bit formats' solve path.
 //!
-//! Every unary operation the 16-bit formats serve from the [`Lut16`]
-//! result tables — `neg`, `abs`, `sqrt`, `recip` — plus the table-served
-//! `to_f64` must be **bit-identical** to the decode → soft-float kernel →
-//! round reference path for all 65 536 bit patterns of every 16-bit
-//! format.  Together with the differential binary suites in
-//! `tests/proptests.rs`, this is what lets the table path ship without a
-//! numerics bump: the computed numerics provably do not change.
+//! The pipeline solves float16, bfloat16, posit16 (es 2 and 1) and takum16
+//! at [`Decoded<T>`].  Every unary operation it runs there — `neg`, `abs`,
+//! `sqrt`, `recip` — plus `to_f64`, the classification and the operator
+//! path of `x + 0` and `x * 1` (both operands through the decode, the
+//! result through the format's value-level rounder) must agree with the
+//! decode → soft-float kernel → round reference path for all 65 536 bit
+//! patterns of every 16-bit format.  "Agree" means the decoded result is
+//! field for field the decode of the reference result, so the next op in a
+//! chain sees identical input.  The binary ops on the boundary corpus and
+//! on random pairs are checked in `tests/decoded_conformance.rs`.
 //!
-//! Table-driven, so the whole file stays under a few seconds in release —
-//! CI runs it under `--release` explicitly.
+//! The tests keep the names they had when these ops were served from
+//! per-format result tables; the tables are gone, the sweep is the same.
 
 use lpa_arith::types::{Bf16, F16, Posit16, Posit16Es1, Takum16};
-use lpa_arith::Real;
+use lpa_arith::{Decoded, Real, UnpackedReal};
 
 fn same_f64(a: f64, b: f64) -> bool {
     (a.is_nan() && b.is_nan()) || (a == b && a.is_sign_positive() == b.is_sign_positive())
@@ -24,37 +27,42 @@ macro_rules! exhaustive_dec16_unary {
         fn $test() {
             for bits in 0..=u16::MAX {
                 let x = <$t>::from_bits(bits);
+                let d = Decoded::decode(x);
                 assert_eq!(
-                    (-x).to_bits(),
-                    x.softfloat_neg().to_bits(),
+                    (-d).into_dec(),
+                    x.softfloat_neg().decode(),
                     "neg {bits:#06x} in {}",
                     <$t>::NAME
                 );
                 assert_eq!(
-                    x.abs().to_bits(),
-                    x.softfloat_abs().to_bits(),
+                    d.abs().into_dec(),
+                    x.softfloat_abs().decode(),
                     "abs {bits:#06x} in {}",
                     <$t>::NAME
                 );
                 assert_eq!(
-                    x.sqrt().to_bits(),
-                    x.softfloat_sqrt().to_bits(),
+                    d.sqrt().into_dec(),
+                    x.softfloat_sqrt().decode(),
                     "sqrt {bits:#06x} in {}",
                     <$t>::NAME
                 );
                 assert_eq!(
-                    x.recip().to_bits(),
-                    <$t>::one().softfloat_div(x).to_bits(),
+                    d.recip().into_dec(),
+                    <$t>::one().softfloat_div(x).decode(),
                     "recip {bits:#06x} in {}",
                     <$t>::NAME
                 );
+                let reference = x.softfloat_to_f64();
                 assert!(
-                    same_f64(x.to_f64(), x.softfloat_to_f64()),
+                    same_f64(d.to_f64(), reference),
                     "decode {bits:#06x} in {}: {} vs {}",
                     <$t>::NAME,
-                    x.to_f64(),
-                    x.softfloat_to_f64()
+                    d.to_f64(),
+                    reference
                 );
+                assert_eq!(d.is_nan(), reference.is_nan(), "is_nan {bits:#06x}");
+                assert_eq!(d.is_finite(), reference.is_finite(), "is_finite {bits:#06x}");
+                assert_eq!(d.is_zero(), reference == 0.0, "is_zero {bits:#06x}");
             }
         }
     };
@@ -66,29 +74,35 @@ exhaustive_dec16_unary!(posit16_unary_tables_match_softfloat, Posit16);
 exhaustive_dec16_unary!(posit16_es1_unary_tables_match_softfloat, Posit16Es1);
 exhaustive_dec16_unary!(takum16_unary_tables_match_softfloat, Takum16);
 
-/// The unpack table must hold exactly what the codec's `decode` returns:
-/// re-encoding the table entry must reproduce the canonical bit pattern of
-/// every value (spot-checked here through the operator path: `x + 0` and
-/// `x * 1` route both operands through the unpack table and must be
-/// bit-identical to the reference for every pattern).
+/// `x + 0` and `x * 1` at `Decoded<T>` must reproduce the reference for
+/// every pattern, and encoding the decoded operand must give its canonical
+/// form back: together these pin the decode, the fused add/mul's handling
+/// of an exact operand and the rounder on the whole 16-bit grid.
 macro_rules! exhaustive_dec16_identity_ops {
     ($test:ident, $t:ty) => {
         #[test]
         fn $test() {
-            let zero = <$t>::zero();
-            let one = <$t>::one();
+            let (zero, one) = (<$t>::zero(), <$t>::one());
+            let (dzero, done) = (Decoded::decode(zero), Decoded::decode(one));
             for bits in 0..=u16::MAX {
                 let x = <$t>::from_bits(bits);
+                let d = Decoded::decode(x);
                 assert_eq!(
-                    (x + zero).to_bits(),
-                    x.softfloat_add(zero).to_bits(),
+                    (d + dzero).into_dec(),
+                    x.softfloat_add(zero).decode(),
                     "{bits:#06x} + 0 in {}",
                     <$t>::NAME
                 );
                 assert_eq!(
-                    (x * one).to_bits(),
-                    x.softfloat_mul(one).to_bits(),
+                    (d * done).into_dec(),
+                    x.softfloat_mul(one).decode(),
                     "{bits:#06x} * 1 in {}",
+                    <$t>::NAME
+                );
+                assert_eq!(
+                    d.encode().decode(),
+                    x.decode(),
+                    "encode round trip {bits:#06x} in {}",
                     <$t>::NAME
                 );
             }

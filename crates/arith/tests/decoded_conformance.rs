@@ -12,9 +12,9 @@
 //! result (so the next op in a chain sees identical input), and encoding it
 //! must give `T`'s result bits.  Operands come from the boundary corpora
 //! (specials, saturation neighbourhoods, every regime / exponent window
-//! edge, both sign halves) and from random bit patterns; for the 16-bit
-//! formats every bit pattern also goes through the unary ops, `x + 0` and
-//! `x * 1`.
+//! edge, both sign halves) and from random bit patterns; every 16-bit
+//! pattern goes through the unary ops, `x + 0` and `x * 1` in
+//! `tests/dec16_exhaustive.rs`.
 
 mod common;
 
@@ -26,8 +26,8 @@ use lpa_arith::{types::*, Decoded, Real, UnpackedReal};
 use proptest::prelude::*;
 
 /// `d` is exactly the canonical decode of `x`.  `what` is only rendered on
-/// failure, so callers pass `format_args!` and the exhaustive sweep pays
-/// no string formatting per check.
+/// failure, so callers pass `format_args!` and pay no string formatting
+/// per check.
 #[track_caller]
 fn assert_same<T: UnpackedReal>(d: Decoded<T>, x: T, what: impl fmt::Display) {
     assert_eq!(
@@ -172,30 +172,6 @@ fn ops_match_on_boundary_corpus_16() {
     check_corpus(&corpus16(Posit16::from_bits));
     check_corpus(&corpus16(Posit16Es1::from_bits));
     check_corpus(&corpus16(Takum16::from_bits));
-}
-
-/// Every bit pattern of a 16-bit format through [`check_unary`], plus
-/// `x + 0` and `x * 1` (both operands through the decode, the result
-/// through the rounder).
-fn sweep_16<T: UnpackedReal>(from_bits: fn(u16) -> T) {
-    let (zero, one) = (T::zero(), T::one());
-    let (dzero, done) = (Decoded::decode(zero), Decoded::decode(one));
-    for bits in 0..=u16::MAX {
-        let x = from_bits(bits);
-        check_unary(x);
-        let d = Decoded::decode(x);
-        assert_same(d + dzero, x + zero, format_args!("{x:?} + 0"));
-        assert_same(d * done, x * one, format_args!("{x:?} * 1"));
-    }
-}
-
-#[test]
-fn every_16_bit_pattern_matches() {
-    sweep_16(F16::from_bits);
-    sweep_16(Bf16::from_bits);
-    sweep_16(Posit16::from_bits);
-    sweep_16(Posit16Es1::from_bits);
-    sweep_16(Takum16::from_bits);
 }
 
 #[test]
