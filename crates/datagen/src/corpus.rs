@@ -157,24 +157,30 @@ pub fn graph_laplacian_corpus(cfg: &CorpusConfig) -> Vec<TestMatrix> {
         .collect()
 }
 
-/// One generator family: label, `(size, seed) -> matrix` builder, and the
+/// One generator family: label, `(size, seed, max_nnz) -> matrix` builder
+/// (the dense random families give up with `None` as soon as they pass
+/// `max_nnz`; the others are small-banded and filtered afterwards), and the
 /// number of size variants drawn from it per scale unit.
-type MatrixFamily = (&'static str, fn(usize, u64) -> CsrMatrix<f64>, usize);
+type MatrixFamily = (&'static str, fn(usize, u64, usize) -> Option<CsrMatrix<f64>>, usize);
 
 /// Synthetic general-matrix corpus (SuiteSparse substitute).
 pub fn general_corpus(cfg: &CorpusConfig) -> Vec<TestMatrix> {
     let families: &[MatrixFamily] = &[
-        ("lap1d", |n, _s| general::laplacian_1d(n, 1.0), 2),
-        ("lap1d-scaled", |n, _s| general::laplacian_1d(n, 1.0e4), 1),
-        ("lap2d", |n, _s| general::laplacian_2d(n / 8 + 2, 8, 1.0), 2),
-        ("toeplitz", |n, _s| general::banded_toeplitz(n, &[4.0, -2.0, 1.0, -0.5]), 2),
-        ("randsym", |n, s| general::random_sparse_symmetric(n, 0.1, 0.0, s), 3),
-        ("randsym-shifted", |n, s| general::random_sparse_symmetric(n, 0.1, 4.0, s), 2),
-        ("diagdom", |n, s| general::diagonally_dominant(n, 0.15, s), 2),
-        ("widerange-mild", |n, s| general::wide_dynamic_range(n, 3.0, s), 2),
-        ("widerange-extreme", |n, s| general::wide_dynamic_range(n, 9.0, s), 2),
-        ("spring", |n, s| general::spring_chain(n, 3.0, s), 2),
-        ("spring-stiff", |n, s| general::spring_chain(n, 6.0, s), 1),
+        ("lap1d", |n, _s, _c| Some(general::laplacian_1d(n, 1.0)), 2),
+        ("lap1d-scaled", |n, _s, _c| Some(general::laplacian_1d(n, 1.0e4)), 1),
+        ("lap2d", |n, _s, _c| Some(general::laplacian_2d(n / 8 + 2, 8, 1.0)), 2),
+        ("toeplitz", |n, _s, _c| Some(general::banded_toeplitz(n, &[4.0, -2.0, 1.0, -0.5])), 2),
+        ("randsym", |n, s, c| general::random_sparse_symmetric_within(n, 0.1, 0.0, s, c), 3),
+        (
+            "randsym-shifted",
+            |n, s, c| general::random_sparse_symmetric_within(n, 0.1, 4.0, s, c),
+            2,
+        ),
+        ("diagdom", |n, s, c| general::diagonally_dominant_within(n, 0.15, s, c), 2),
+        ("widerange-mild", |n, s, _c| Some(general::wide_dynamic_range(n, 3.0, s)), 2),
+        ("widerange-extreme", |n, s, _c| Some(general::wide_dynamic_range(n, 9.0, s)), 2),
+        ("spring", |n, s, _c| Some(general::spring_chain(n, 3.0, s)), 2),
+        ("spring-stiff", |n, s, _c| Some(general::spring_chain(n, 6.0, s)), 1),
     ];
     let mut out = Vec::new();
     for &(family, gen, per_scale) in families {
@@ -182,7 +188,9 @@ pub fn general_corpus(cfg: &CorpusConfig) -> Vec<TestMatrix> {
         for k in 0..count {
             let n = cfg.size(k, count.max(2));
             let seed = mix_seed(cfg.seed ^ 0xABCD, family, k);
-            let m = gen(n, seed);
+            let Some(m) = gen(n, seed, cfg.max_nnz) else {
+                continue;
+            };
             if m.nnz() == 0 || m.nnz() > cfg.max_nnz {
                 continue;
             }
@@ -252,6 +260,33 @@ mod tests {
         let wide = gen.iter().find(|t| t.category == "widerange-extreme").unwrap();
         let ratio = wide.matrix.max_abs() / wide.matrix.min_abs_nonzero().unwrap();
         assert!(ratio > 1e12);
+    }
+
+    #[test]
+    fn general_corpus_gives_up_on_oversized_matrices_without_changing_the_rest() {
+        // The old way: every matrix built in full, then the nnz filter.
+        fn built_in_full_then_filtered(cfg: &CorpusConfig) -> Vec<TestMatrix> {
+            general_corpus(&CorpusConfig { max_nnz: usize::MAX, ..cfg.clone() })
+                .into_iter()
+                .filter(|t| t.nnz() <= cfg.max_nnz)
+                .collect()
+        }
+        let configs = [
+            CorpusConfig::tiny(),
+            CorpusConfig::default(),
+            // The figure-1 grid's corpus and the large-n one.
+            CorpusConfig { seed: 3, scale: 1, size_range: (40, 72), max_nnz: 20_000 },
+            CorpusConfig { size_range: (1000, 1500), ..CorpusConfig::default() },
+        ];
+        for cfg in &configs {
+            let new = general_corpus(cfg);
+            let old = built_in_full_then_filtered(cfg);
+            let names = |c: &[TestMatrix]| c.iter().map(|t| t.name.clone()).collect::<Vec<_>>();
+            assert_eq!(names(&new), names(&old), "{cfg:?}");
+            for (a, b) in new.iter().zip(&old) {
+                assert_eq!(a.matrix, b.matrix, "{} in {cfg:?}", a.name);
+            }
+        }
     }
 
     #[test]

@@ -63,6 +63,21 @@ pub fn banded_toeplitz(n: usize, bands: &[f64]) -> CsrMatrix<f64> {
 /// entries uniform in [-1, 1], plus a diagonal shift making it comfortably
 /// indefinite or definite depending on `shift`.
 pub fn random_sparse_symmetric(n: usize, density: f64, shift: f64, seed: u64) -> CsrMatrix<f64> {
+    random_sparse_symmetric_within(n, density, shift, seed, usize::MAX)
+        .expect("an unbounded entry budget is never exceeded")
+}
+
+/// [`random_sparse_symmetric`], or `None` once the matrix is known to hold
+/// more than `max_nnz` entries.  Exact: no position is pushed twice and
+/// zeros are dropped, so the entry count only grows toward the final
+/// `nnz`, and a matrix within the budget is built exactly as before.
+pub(crate) fn random_sparse_symmetric_within(
+    n: usize,
+    density: f64,
+    shift: f64,
+    seed: u64,
+    max_nnz: usize,
+) -> Option<CsrMatrix<f64>> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut coo = CooMatrix::<f64>::new(n, n);
     for i in 0..n {
@@ -72,21 +87,45 @@ pub fn random_sparse_symmetric(n: usize, density: f64, shift: f64, seed: u64) ->
                 coo.push_sym(i, j, rng.gen_range(-1.0..1.0));
             }
         }
+        if coo.nnz() > max_nnz {
+            return None;
+        }
     }
-    coo.to_csr()
+    Some(coo.to_csr())
 }
 
 /// Diagonally dominant symmetric matrix (well conditioned).
 pub fn diagonally_dominant(n: usize, density: f64, seed: u64) -> CsrMatrix<f64> {
+    diagonally_dominant_within(n, density, seed, usize::MAX)
+        .expect("an unbounded entry budget is never exceeded")
+}
+
+/// [`diagonally_dominant`], or `None` once the matrix is known to hold more
+/// than `max_nnz` entries (exact, as for
+/// [`random_sparse_symmetric_within`]: every diagonal entry is at least 1,
+/// and each non-zero off-diagonal draw stores two entries).
+pub(crate) fn diagonally_dominant_within(
+    n: usize,
+    density: f64,
+    seed: u64,
+    max_nnz: usize,
+) -> Option<CsrMatrix<f64>> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut rows: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
+    let mut nnz = n;
     for i in 0..n {
         for j in i + 1..n {
             if rng.gen::<f64>() < density {
                 let v = rng.gen_range(-1.0..1.0);
                 rows[i].push((j, v));
                 rows[j].push((i, v));
+                if v != 0.0 {
+                    nnz += 2;
+                }
             }
+        }
+        if nnz > max_nnz {
+            return None;
         }
     }
     let mut coo = CooMatrix::<f64>::new(n, n);
@@ -97,7 +136,7 @@ pub fn diagonally_dominant(n: usize, density: f64, seed: u64) -> CsrMatrix<f64> 
             coo.push(i, j, v);
         }
     }
-    coo.to_csr()
+    Some(coo.to_csr())
 }
 
 /// Symmetric matrix whose diagonal spans `10^-range_decades .. 10^+range_decades`
