@@ -20,8 +20,7 @@ pub fn tridiagonalize<T: Real>(a: &DMatrix<T>) -> (Vec<T>, Vec<T>, DMatrix<T>) {
     let mut m = a.clone();
     let mut q = DMatrix::identity(n);
     for k in 0..n.saturating_sub(2) {
-        let x: Vec<T> = (k + 1..n).map(|i| m[(i, k)]).collect();
-        let refl = Householder::compute(&x);
+        let refl = Householder::compute((k + 1..n).map(|i| m[(i, k)]).collect::<Vec<T>>());
         if refl.tau.is_zero() {
             continue;
         }

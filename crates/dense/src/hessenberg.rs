@@ -19,8 +19,7 @@ pub fn hessenberg<T: Real>(a: &DMatrix<T>) -> (DMatrix<T>, DMatrix<T>) {
         return (h, q);
     }
     for k in 0..n - 2 {
-        let x: Vec<T> = (k + 1..n).map(|i| h[(i, k)]).collect();
-        let refl = Householder::compute(&x);
+        let refl = Householder::compute((k + 1..n).map(|i| h[(i, k)]).collect::<Vec<T>>());
         if refl.tau.is_zero() {
             continue;
         }

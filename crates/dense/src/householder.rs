@@ -8,55 +8,68 @@ use crate::blas::{dot, nrm2};
 use crate::matrix::DMatrix;
 
 /// A Householder reflector `P = I - tau * v v^T` with `v[0] = 1` implied.
+///
+/// `v` is the caller's slice-like storage: a `Vec` of a column, or a stack
+/// buffer (the Francis sweep's 3-element bulge vectors).
 #[derive(Clone, Debug)]
-pub struct Householder<T> {
-    pub v: Vec<T>,
+pub struct Householder<T, V> {
+    pub v: V,
     pub tau: T,
     pub beta: T,
 }
 
-impl<T: Real> Householder<T> {
-    /// Reflector that maps `x` onto `beta * e1` (LAPACK `dlarfg`-style).
+impl<T: Real, V: AsRef<[T]> + AsMut<[T]>> Householder<T, V> {
+    /// Reflector that maps `x` onto `beta * e1` (LAPACK `dlarfg`-style),
+    /// computed in place: `x`'s storage becomes `v`.
     ///
     /// The input is rescaled by its largest magnitude before squaring so that
     /// very small (or very large) vectors neither underflow nor overflow in
     /// the narrow formats — without this, bulge vectors of magnitude ~1e-4
     /// flush to zero when squared in float16 and the reflector degenerates.
-    pub fn compute(x: &[T]) -> Self {
-        let n = x.len();
+    pub fn compute(mut x: V) -> Self {
+        let v = x.as_mut();
+        let n = v.len();
         assert!(n >= 1);
         let mut maxabs = T::zero();
-        for xi in x {
+        for xi in v.iter() {
             maxabs = maxabs.max(xi.abs());
         }
-        let xnorm_tail_raw = nrm2(&x[1..]);
+        let xnorm_tail_raw = nrm2(&v[1..]);
         if xnorm_tail_raw.is_zero() || maxabs.is_zero() {
-            return Householder { v: vec![T::zero(); n], tau: T::zero(), beta: x[0] };
+            let beta = v[0];
+            v.fill(T::zero());
+            return Householder { v: x, tau: T::zero(), beta };
         }
         // Divide (rather than multiply by the reciprocal): the reciprocal of
-        // a subnormal scale overflows the narrow formats.
-        let alpha = x[0] / maxabs;
-        let xnorm = nrm2(&x[1..].iter().map(|&v| v / maxabs).collect::<Vec<_>>());
+        // a subnormal scale overflows the narrow formats.  The scaled tail
+        // is kept in `v` and divided once more below.
+        let alpha = v[0] / maxabs;
+        for vi in &mut v[1..] {
+            *vi /= maxabs;
+        }
+        let xnorm = nrm2(&v[1..]);
         let mut beta = -(alpha * alpha + xnorm * xnorm).sqrt();
         if alpha < T::zero() {
             beta = -beta;
         }
         let tau = (beta - alpha) / beta;
-        let mut v = vec![T::zero(); n];
         v[0] = T::one();
-        for i in 1..n {
-            v[i] = (x[i] / maxabs) / (alpha - beta);
+        for vi in &mut v[1..] {
+            *vi /= alpha - beta;
         }
-        Householder { v, tau, beta: beta * maxabs }
+        Householder { v: x, tau, beta: beta * maxabs }
     }
+}
 
+impl<T: Real, V: AsRef<[T]>> Householder<T, V> {
     /// Apply `P` to a vector in place.
     pub fn apply_vec(&self, x: &mut [T]) {
         if self.tau.is_zero() {
             return;
         }
-        let s = self.tau * dot(&self.v, x);
-        for (xi, vi) in x.iter_mut().zip(&self.v) {
+        let v = self.v.as_ref();
+        let s = self.tau * dot(v, x);
+        for (xi, vi) in x.iter_mut().zip(v) {
             *xi -= s * *vi;
         }
     }
@@ -71,15 +84,15 @@ impl<T: Real> Householder<T> {
         if self.tau.is_zero() {
             return;
         }
-        let len = self.v.len();
+        let v = self.v.as_ref();
         for j in cols {
             let mut s = T::zero();
-            for k in 0..len {
-                s += self.v[k] * m[(r0 + k, j)];
+            for (k, &vk) in v.iter().enumerate() {
+                s += vk * m[(r0 + k, j)];
             }
             s *= self.tau;
-            for k in 0..len {
-                m[(r0 + k, j)] -= s * self.v[k];
+            for (k, &vk) in v.iter().enumerate() {
+                m[(r0 + k, j)] -= s * vk;
             }
         }
     }
@@ -94,15 +107,15 @@ impl<T: Real> Householder<T> {
         if self.tau.is_zero() {
             return;
         }
-        let len = self.v.len();
+        let v = self.v.as_ref();
         for i in rows {
             let mut s = T::zero();
-            for k in 0..len {
-                s += m[(i, c0 + k)] * self.v[k];
+            for (k, &vk) in v.iter().enumerate() {
+                s += m[(i, c0 + k)] * vk;
             }
             s *= self.tau;
-            for k in 0..len {
-                m[(i, c0 + k)] -= s * self.v[k];
+            for (k, &vk) in v.iter().enumerate() {
+                m[(i, c0 + k)] -= s * vk;
             }
         }
     }
@@ -116,8 +129,7 @@ pub fn qr<T: Real>(a: &DMatrix<T>) -> (DMatrix<T>, DMatrix<T>) {
     let mut r = a.clone();
     let mut q = DMatrix::identity(m);
     for k in 0..n.min(m.saturating_sub(1)) {
-        let x: Vec<T> = (k..m).map(|i| r[(i, k)]).collect();
-        let h = Householder::compute(&x);
+        let h = Householder::compute((k..m).map(|i| r[(i, k)]).collect::<Vec<T>>());
         h.apply_left(&mut r, k);
         h.apply_right(&mut q, k);
         // Clean the explicitly zeroed column entries.
@@ -149,7 +161,7 @@ mod tests {
     #[test]
     fn reflector_maps_to_e1() {
         let x = [3.0f64, 4.0, 0.0, 12.0];
-        let h = Householder::compute(&x);
+        let h = Householder::compute(x);
         let mut y = x;
         h.apply_vec(&mut y);
         assert!((y[0].abs() - 13.0).abs() < 1e-12);

@@ -155,8 +155,8 @@ fn francis_double_step<T: Real>(
     for k in lo..hi {
         let last = k == hi - 1; // the final reflector is only 2 rows tall
         let len = if last { 2 } else { 3 };
-        let col = if last { vec![p, q] } else { vec![p, q, r] };
-        let refl = Householder::compute(&col);
+        let mut bulge = [p, q, r];
+        let refl = Householder::compute(&mut bulge[..len]);
         if !refl.tau.is_zero() {
             // The LAPACK `dlahqr` windows: columns `k..n` from the left,
             // rows `0..=min(k+3, hi)` from the right (`Z` keeps all its
