@@ -21,10 +21,14 @@
 //! every op against `T`'s scalar op over the boundary corpora and random
 //! pairs.
 //!
-//! The experiment pipeline runs every emulated 16/32/64-bit format at
-//! `Decoded<T>` end to end; formats whose ops are a table load or an
-//! instruction (the 8-bit formats, `f32`/`f64`, `Dd`) run at their own
-//! type.
+//! The experiment pipeline runs the 16/32/64-bit posits and takums at
+//! `Decoded<T>` end to end; formats whose ops are a table load or a few
+//! instructions (the 8-bit formats, float16 and bfloat16 on the binary32
+//! carrier, `f32`/`f64`, `Dd`) run at their own type.  For float16 and
+//! bfloat16 the IEEE plan here — the soft-float kernel plus
+//! [`crate::round::ieee`] — is the reference their carrier ops are tested
+//! against (`decoded_conformance`, `batch_differential`, and the
+//! `decoded_solve` and `decoded_spmv` suites of the solver crates).
 
 use core::cmp::Ordering;
 use core::fmt;

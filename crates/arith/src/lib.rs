@@ -20,6 +20,9 @@
 //! [`takum`]) only decode bit patterns and perform the final rounding.  This
 //! makes every operation correctly rounded and bit-reproducible, including
 //! for the 64-bit tapered formats whose significands do not fit in `f64`.
+//! The 8-bit formats serve that kernel's results from tables ([`lut`]), and
+//! float16 and bfloat16 compute them on the host's binary32 unit with one
+//! final rounding, which gives the same bits ([`types`]).
 //!
 //! ```
 //! use lpa_arith::{Real, types::{Posit16, Takum16, Bf16}};

@@ -12,18 +12,21 @@
 //! pairs per operation.  The reference path stays callable as the formats'
 //! `softfloat_*` methods.
 //!
-//! From 16 bits up a full binary table is out of reach (8 GiB at 16 bits),
-//! so those formats run the soft-float kernel directly, and the experiment
-//! pipeline solves them at [`crate::Decoded`], which keeps every operand
-//! decoded across a whole solve.
+//! From 16 bits up a full binary table is out of reach (8 GiB at 16 bits).
+//! float16 and bfloat16 run on the host's binary32 unit, rounding each
+//! result once (exact, since binary32 has at least 2p + 2 significand bits;
+//! see [`crate::types`]).  The posits and takums run the soft-float kernel
+//! directly, and the experiment pipeline solves them at [`crate::Decoded`],
+//! which keeps every operand decoded across a whole solve.
 //!
 //! Backend tiers (see README):
 //!
-//! | tier       | formats                               | binary ops | unary ops  | decode/compare |
-//! |------------|---------------------------------------|------------|------------|----------------|
-//! | LUT        | all 8-bit                             | table      | table      | table          |
-//! | soft-float | float16, bfloat16, 16/32/64-bit posit and takum | soft-float | soft-float | unpack |
-//! | native     | f32, f64 (+ Dd pairs)                 | hardware   | hardware   | hardware       |
+//! | tier              | formats                          | binary ops      | unary ops       | decode/compare |
+//! |-------------------|----------------------------------|-----------------|-----------------|----------------|
+//! | LUT               | all 8-bit                        | table           | table           | table          |
+//! | binary32 carrier  | float16, bfloat16                | f32 + one round | f32 / sign bit  | widen to f32   |
+//! | soft-float        | 16/32/64-bit posit and takum     | soft-float      | soft-float      | unpack         |
+//! | native            | f32, f64 (+ Dd pairs)            | hardware        | hardware        | hardware       |
 
 use crate::ieee::pack_f64;
 use crate::softfloat;

@@ -2,21 +2,36 @@
 //! [`Real`](crate::Real).
 //!
 //! Each type is a thin newtype over its storage word.  Arithmetic is served
-//! by one of two backends, chosen per width (see [`crate::lut`]):
+//! by one of three backends, chosen per format (see [`crate::lut`]):
 //!
 //! * **8-bit formats** route every operation through precomputed lookup
 //!   tables ([`crate::lut::Lut8`]), generated once per format from the
 //!   soft-float path — bit-identical to it by construction and several
 //!   times faster.
-//! * **16/32/64-bit formats** use the soft-float kernel directly: a full
-//!   binary table is out of reach from 16 bits up, and the experiment
+//! * **float16 and bfloat16** run on the host's binary32 unit: each op
+//!   widens both operands to `f32` (exact), runs the hardware op and
+//!   rounds the result once to the 16-bit format (round to nearest even,
+//!   gradual underflow, overflow to ±∞, the canonical NaN).  binary32 has
+//!   p′ = 24 ≥ 2p + 2 significand bits for both (p = 11 and p = 8) and at
+//!   least their exponent range, so that double rounding is innocuous: the
+//!   result is the correctly rounded 16-bit result of `+ − × ÷ √`
+//!   (S. A. Figueroa, "When is double rounding innocuous?", ACM SIGNUM
+//!   Newsletter 30(3), 1995), bit-identical to the soft-float path, which
+//!   `tests/dec16_exhaustive.rs` checks pattern by pattern.  `from_f64`
+//!   stays the soft-float conversion: f64 → f32 → 16 bits would be a
+//!   double rounding that is *not* innocuous.
+//! * **16/32/64-bit posits and takums** use the soft-float kernel directly:
+//!   a full binary table is out of reach from 16 bits up, and the experiment
 //!   pipeline solves these formats at [`crate::Decoded`], which keeps
 //!   operands decoded between ops instead of tabulating the decode.
 //!
 //! Every type also exposes the raw reference path (`softfloat_add` & co.)
 //! regardless of backend, which the exhaustive equivalence tests and the
-//! backend micro-benchmarks compare against.  This keeps results bit-exact
-//! and reproducible across platforms and backends.
+//! backend micro-benchmarks compare against, and every 16/32/64-bit type
+//! implements [`crate::UnpackedReal`], so `Decoded<F16>` and
+//! `Decoded<Bf16>` are the soft-float reference the binary32 carrier is
+//! tested against.  This keeps results bit-exact and reproducible across
+//! platforms and backends.
 
 use core::cmp::Ordering;
 use core::fmt;
@@ -207,7 +222,7 @@ macro_rules! softfloat_ops {
     };
 }
 
-/// `Real` items identical across both backends (expands inside an
+/// `Real` items identical across the backends (expands inside an
 /// `impl Real` block): constants, constructors and the storage-pattern
 /// constants.
 macro_rules! real_storage_core {
@@ -241,17 +256,12 @@ macro_rules! real_storage_core {
     };
 }
 
-/// Soft-float backend: operators and `Real` through the decode → kernel →
-/// round path (the 16-, 32- and 64-bit formats), plus the
-/// [`crate::UnpackedReal`] hooks [`crate::Decoded`] runs this format's ops
-/// on: the codec bridge, the codec's value-level rounder
+/// The [`crate::UnpackedReal`] hooks [`crate::Decoded`] runs a 16/32/64-bit
+/// format's ops on: the codec bridge, the codec's value-level rounder
 /// (`crate::round::$codec`) and its fused-round plan (verified in
 /// `tests/batch_differential.rs` and `tests/decoded_conformance.rs`).
-macro_rules! soft_backend {
-    ($name:ident, $storage:ty, $fmtname:expr, $bits:expr, $max_pat:expr, $min_pat:expr,
-     $codec:ident, $spec:expr) => {
-        softfloat_ops!($name);
-
+macro_rules! unpacked_real {
+    ($name:ident, $codec:ident, $spec:expr) => {
         impl crate::decoded::UnpackedReal for $name {
             const ROUND: crate::round::RoundPlan = crate::round::plan::$codec(&$spec);
 
@@ -268,6 +278,16 @@ macro_rules! soft_backend {
                 crate::round::$codec(u, &$spec)
             }
         }
+    };
+}
+
+/// Soft-float backend: operators and `Real` through the decode → kernel →
+/// round path (the 16-, 32- and 64-bit posits and takums).
+macro_rules! soft_backend {
+    ($name:ident, $storage:ty, $fmtname:expr, $bits:expr, $max_pat:expr, $min_pat:expr,
+     $codec:ident, $spec:expr) => {
+        softfloat_ops!($name);
+        unpacked_real!($name, $codec, $spec);
 
         impl PartialEq for $name {
             #[inline]
@@ -308,6 +328,197 @@ macro_rules! soft_backend {
             #[inline]
             fn is_zero(self) -> bool {
                 self.unpack().is_zero()
+            }
+        }
+    };
+}
+
+/// The binary32 value of a float16 pattern (exact).
+#[inline(always)]
+fn f16_to_f32(h: u16) -> f32 {
+    const MIN_NORMAL: u32 = 0x0400;
+    const INF: u32 = 0x7c00;
+    let sign = ((h & 0x8000) as u32) << 16;
+    let mag = (h & 0x7fff) as u32;
+    let bits = if mag.wrapping_sub(MIN_NORMAL) < INF - MIN_NORMAL {
+        // Normal: move the fields up and rebias the exponent (15 → 127).
+        (mag << 13) + ((127 - 15) << 23)
+    } else if mag < MIN_NORMAL {
+        // Zero or subnormal: fraction · 2^-24, exact in binary32.
+        (mag as f32 * f32::from_bits((127 - 24) << 23)).to_bits()
+    } else {
+        // ±∞ or NaN: the all-ones exponent, the fraction moved up.
+        0x7f80_0000 | ((mag & 0x03ff) << 13)
+    };
+    f32::from_bits(sign | bits)
+}
+
+/// Round a binary32 value once to float16: round to nearest even, gradual
+/// underflow, overflow to ±∞, and the soft-float path's canonical NaN.
+#[inline(always)]
+fn f32_to_f16(x: f32) -> u16 {
+    const NAN: u16 = ieee::BINARY16.nan_bits() as u16;
+    const INF: u16 = ieee::BINARY16.inf_bits() as u16;
+    // 2^-14, the smallest normal, and 65520, max finite plus half an ulp.
+    const MIN_NORMAL: u32 = 0x3880_0000;
+    const OVERFLOW: u32 = 0x477f_f000;
+    let bits = x.to_bits();
+    let sign = ((bits >> 16) & 0x8000) as u16;
+    let mag = bits & 0x7fff_ffff;
+    if mag.wrapping_sub(MIN_NORMAL) < OVERFLOW - MIN_NORMAL {
+        // Normal: drop 13 fraction bits, ties to even; a carry moves into
+        // the exponent field.
+        let rounded = mag + 0x0fff + ((mag >> 13) & 1);
+        sign | ((rounded >> 13) - ((127 - 15) << 10)) as u16
+    } else if mag < MIN_NORMAL {
+        // Subnormal or zero: adding 0.5 rounds |x| to a multiple of 2^-24
+        // (the binary32 ulp on [0.5, 1)), ties to even, so the sum's low
+        // bits are the fraction; 1024 is the smallest normal's pattern.
+        let sum = f32::from_bits(mag) + 0.5;
+        sign | (sum.to_bits() - 0.5f32.to_bits()) as u16
+    } else if mag > 0x7f80_0000 {
+        NAN
+    } else {
+        sign | INF
+    }
+}
+
+/// The binary32 value of a bfloat16 pattern (exact: the top half).
+#[inline(always)]
+fn bf16_to_f32(h: u16) -> f32 {
+    f32::from_bits((h as u32) << 16)
+}
+
+/// Round a binary32 value once to bfloat16: round to nearest even on the
+/// dropped low half (subnormals and the carry to ±∞ fall out of the
+/// encoding's monotone order), and the soft-float path's canonical NaN.
+#[inline(always)]
+fn f32_to_bf16(x: f32) -> u16 {
+    const NAN: u16 = ieee::BFLOAT16.nan_bits() as u16;
+    if x.is_nan() {
+        return NAN;
+    }
+    let bits = x.to_bits();
+    ((bits + 0x7fff + ((bits >> 16) & 1)) >> 16) as u16
+}
+
+/// binary32-carrier backend (float16, bfloat16): every operator widens
+/// both operands to `f32` exactly, runs the hardware op and rounds once
+/// with `$narrow`; comparisons and classes read the `f32` value.  `neg`
+/// and `abs` are sign-bit operations that return the canonical NaN for a
+/// NaN, as the soft-float path does.  See the module docs for why this is
+/// bit-identical to the soft-float path.
+macro_rules! f32_carrier_backend {
+    ($name:ident, $fmtname:expr, $spec:expr, $widen:ident, $narrow:ident) => {
+        unpacked_real!($name, ieee, $spec);
+
+        impl $name {
+            /// This value as a binary32 (exact).
+            #[inline(always)]
+            fn to_f32(self) -> f32 {
+                $widen(self.0)
+            }
+
+            /// Round a binary32 result once to this format.
+            #[inline(always)]
+            fn round_f32(x: f32) -> Self {
+                $name($narrow(x))
+            }
+
+            /// Replace the sign bit with `sign` (the canonical NaN for a
+            /// NaN, as the soft-float path returns).
+            #[inline(always)]
+            fn with_sign_bit(self, sign: u16) -> Self {
+                if self.is_nan() {
+                    $name($spec.nan_bits() as u16)
+                } else {
+                    $name((self.0 & 0x7fff) | sign)
+                }
+            }
+        }
+
+        impl core::ops::Add for $name {
+            type Output = Self;
+            #[inline(always)]
+            fn add(self, o: Self) -> Self {
+                Self::round_f32(self.to_f32() + o.to_f32())
+            }
+        }
+        impl core::ops::Sub for $name {
+            type Output = Self;
+            #[inline(always)]
+            fn sub(self, o: Self) -> Self {
+                Self::round_f32(self.to_f32() - o.to_f32())
+            }
+        }
+        impl core::ops::Mul for $name {
+            type Output = Self;
+            #[inline(always)]
+            fn mul(self, o: Self) -> Self {
+                Self::round_f32(self.to_f32() * o.to_f32())
+            }
+        }
+        impl core::ops::Div for $name {
+            type Output = Self;
+            #[inline(always)]
+            fn div(self, o: Self) -> Self {
+                Self::round_f32(self.to_f32() / o.to_f32())
+            }
+        }
+        impl core::ops::Neg for $name {
+            type Output = Self;
+            #[inline(always)]
+            fn neg(self) -> Self {
+                self.with_sign_bit(!self.0 & 0x8000)
+            }
+        }
+
+        impl PartialEq for $name {
+            #[inline(always)]
+            fn eq(&self, o: &Self) -> bool {
+                self.to_f32() == o.to_f32()
+            }
+        }
+        impl PartialOrd for $name {
+            #[inline(always)]
+            fn partial_cmp(&self, o: &Self) -> Option<Ordering> {
+                self.to_f32().partial_cmp(&o.to_f32())
+            }
+        }
+
+        impl Real for $name {
+            real_storage_core!(
+                $name,
+                u16,
+                $fmtname,
+                16,
+                $spec.max_finite_bits(),
+                $spec.min_positive_bits()
+            );
+
+            #[inline(always)]
+            fn to_f64(self) -> f64 {
+                self.to_f32() as f64
+            }
+            #[inline(always)]
+            fn abs(self) -> Self {
+                self.with_sign_bit(0)
+            }
+            #[inline(always)]
+            fn sqrt(self) -> Self {
+                Self::round_f32(self.to_f32().sqrt())
+            }
+            #[inline(always)]
+            fn is_nan(self) -> bool {
+                self.to_f32().is_nan()
+            }
+            #[inline(always)]
+            fn is_finite(self) -> bool {
+                self.to_f32().is_finite()
+            }
+            #[inline(always)]
+            fn is_zero(self) -> bool {
+                self.to_f32() == 0.0
             }
         }
     };
@@ -447,15 +658,23 @@ macro_rules! soft_format {
     };
 }
 
-soft_format!(
+macro_rules! f32_carrier_format {
+    (
+        $(#[$meta:meta])*
+        $name:ident, $fmtname:expr, $spec:expr, $widen:ident, $narrow:ident
+    ) => {
+        format_shell!($(#[$meta])* $name, u16, $fmtname, ieee, $spec);
+        f32_carrier_backend!($name, $fmtname, $spec, $widen, $narrow);
+    };
+}
+
+f32_carrier_format!(
     /// IEEE 754 binary16 (`float16`).
-    F16, u16, "float16", 16, ieee, ieee::BINARY16,
-    ieee::BINARY16.max_finite_bits(), ieee::BINARY16.min_positive_bits()
+    F16, "float16", ieee::BINARY16, f16_to_f32, f32_to_f16
 );
-soft_format!(
+f32_carrier_format!(
     /// Google Brain `bfloat16` (8 exponent bits, 7 fraction bits).
-    Bf16, u16, "bfloat16", 16, ieee, ieee::BFLOAT16,
-    ieee::BFLOAT16.max_finite_bits(), ieee::BFLOAT16.min_positive_bits()
+    Bf16, "bfloat16", ieee::BFLOAT16, bf16_to_f32, f32_to_bf16
 );
 lut8_format!(
     /// OCP OFP8 E4M3 (no infinities, single NaN mantissa, max finite 448).
@@ -699,6 +918,43 @@ mod tests {
         assert!(format!("{x:?}").contains("posit16"));
         let y = Takum8::from_f64(-2.0);
         assert_eq!(format!("{y}"), "-2");
+    }
+
+    #[test]
+    fn binary32_carrier_conversions_match_the_codec() {
+        // Widening is exact for every 16-bit pattern.
+        for h in 0..=u16::MAX {
+            for (spec, wide) in
+                [(&ieee::BINARY16, f16_to_f32(h)), (&ieee::BFLOAT16, bf16_to_f32(h))]
+            {
+                let exact = f32::from_bits(ieee::encode(
+                    &ieee::decode(h as u64, spec),
+                    &ieee::BINARY32,
+                ) as u32);
+                assert!(
+                    (wide.is_nan() && exact.is_nan()) || wide.to_bits() == exact.to_bits(),
+                    "widen {h:#06x} from {}",
+                    spec.name
+                );
+            }
+        }
+        // Narrowing is the codec's rounding of the binary32 value, on a
+        // stride through all binary32 patterns plus the neighbourhoods of
+        // the branch thresholds (65520, 2^-14, 2^-25, ±∞, NaN).
+        let mut patterns: Vec<u32> = (0..=u32::MAX).step_by(4093).collect();
+        for edge in
+            [0x477f_f000u32, 0x3880_0000, 0x3300_0000, 0x7f80_0000, 0x7f7f_8000, 0x0000_8000]
+        {
+            for b in edge - 3..=edge + 3 {
+                patterns.extend([b, b | 0x8000_0000]);
+            }
+        }
+        for b in patterns {
+            let u = ieee::decode(b as u64, &ieee::BINARY32);
+            let x = f32::from_bits(b);
+            assert_eq!(f32_to_f16(x), ieee::encode(&u, &ieee::BINARY16) as u16, "{b:#010x}");
+            assert_eq!(f32_to_bf16(x), ieee::encode(&u, &ieee::BFLOAT16) as u16, "{b:#010x}");
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! --bench bench_summary` writes `out/BENCH_micro.json` with median ns/op
 //! per format for scalar add/mul (the format's own operators), per-element
 //! dot and per-nonzero SpMV (at the element type the solver runs: the
-//! emulated 16/32/64-bit formats at `Decoded<T>`, every other format at
+//! 16/32/64-bit posits and takums at `Decoded<T>`, every other format at
 //! its own type), the soft-float baselines for the table-served 8-bit
 //! formats, the end-to-end wall time of a Figure-1 style experiment run,
 //! and the cold-vs-warm cost of the same run through the persistent
@@ -13,7 +13,7 @@
 //! takum8 outlier from the v6 trajectory must not come back.
 //!
 //! The file gives future PRs a perf trajectory to compare against; keep the
-//! schema (`lpa-bench-micro/v9`) stable or bump the version.  The config
+//! schema (`lpa-bench-micro/v10`) stable or bump the version.  The config
 //! block records the `LPA_FAULTS` and `LPA_OBS` states next to the numbers
 //! — perf is only comparable between runs with matching gate states.  CI
 //! regenerates the file and prints greppable `bench-delta:` lines against
@@ -35,7 +35,9 @@ const DOT_LEN: usize = 1024;
 const SCALAR_LEN: usize = 512;
 
 /// Median ns per call of `f` across several samples, with the iteration
-/// count calibrated so each sample runs a few milliseconds.
+/// count calibrated so each sample runs at least 20 ms: nine samples then
+/// span ~0.2 s per key, long enough that one slow stretch of a shared host
+/// does not move a whole row.
 fn median_ns_per_call<F: FnMut()>(mut f: F) -> f64 {
     let mut iters: u64 = 1;
     loop {
@@ -44,7 +46,7 @@ fn median_ns_per_call<F: FnMut()>(mut f: F) -> f64 {
             f();
         }
         let elapsed = start.elapsed();
-        if elapsed.as_millis() >= 2 || iters > 1 << 24 {
+        if elapsed.as_millis() >= 20 || iters > 1 << 28 {
             break;
         }
         iters *= 4;
@@ -209,8 +211,8 @@ fn main() {
         format_entry::<E5M2, E5M2>(&a64),
         format_entry::<Posit8, Posit8>(&a64),
         format_entry::<Takum8, Takum8>(&a64),
-        format_entry::<F16, Decoded<F16>>(&a64),
-        format_entry::<Bf16, Decoded<Bf16>>(&a64),
+        format_entry::<F16, F16>(&a64),
+        format_entry::<Bf16, Bf16>(&a64),
         format_entry::<Posit16, Decoded<Posit16>>(&a64),
         format_entry::<Takum16, Decoded<Takum16>>(&a64),
         format_entry::<f32, f32>(&a64),
@@ -323,7 +325,7 @@ fn main() {
     };
 
     let summary = Value::Map(vec![
-        ("schema".to_string(), Value::Str("lpa-bench-micro/v9".to_string())),
+        ("schema".to_string(), Value::Str("lpa-bench-micro/v10".to_string())),
         (
             "config".to_string(),
             Value::Map(vec![

@@ -1,9 +1,10 @@
 //! Criterion micro-benchmarks of the substrates: per-format scalar
 //! arithmetic, sparse matrix-vector products, a full partial Schur solve,
 //! the Hungarian matching step, and an end-to-end experiment grid through
-//! the `ExperimentPlan` front door.  The emulated 16/32/64-bit formats'
-//! dots, SpMVs and solves run at `Decoded<T>`, the element type the
-//! experiment pipeline solves them at.
+//! the `ExperimentPlan` front door.  Dots, SpMVs and solves run at the
+//! element type the experiment pipeline solves each format at:
+//! `Decoded<T>` for the 16/32/64-bit posits and takums, the format's own
+//! type for float16 and bfloat16 (binary32 carrier) and the rest.
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::time::Duration;
@@ -190,6 +191,8 @@ fn bench_spmv(c: &mut Criterion) {
         });
     }
     run::<f64>(c, &a64, "float64");
+    run::<F16>(c, &a64, "float16");
+    run::<Bf16>(c, &a64, "bfloat16");
     run::<Decoded<Posit16>>(c, &a64, "posit16");
     run::<Decoded<Takum16>>(c, &a64, "takum16");
     run::<Dd>(c, &a64, "float128_dd");
@@ -207,6 +210,8 @@ fn bench_arnoldi(c: &mut Criterion) {
         });
     }
     run::<f64>(c, &a64, "float64", 1e-10);
+    run::<F16>(c, &a64, "float16", 1e-4);
+    run::<Bf16>(c, &a64, "bfloat16", 1e-4);
     run::<Decoded<Posit16>>(c, &a64, "posit16", 1e-4);
     run::<Decoded<Takum16>>(c, &a64, "takum16", 1e-4);
 }

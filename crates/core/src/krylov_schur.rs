@@ -32,11 +32,12 @@ use crate::result::{History, PartialSchur};
 /// ## Element types
 ///
 /// The solver is one generic body.  The experiment pipeline instantiates
-/// it at [`lpa_arith::Decoded<T>`] for the emulated 16/32/64-bit formats,
+/// it at [`lpa_arith::Decoded<T>`] for the 16/32/64-bit posits and takums,
 /// so the matrix values, the Krylov basis and the projected Schur phase
 /// all stay decoded for the whole solve, and at the format type itself
-/// for the 8-bit, native and double-double formats.  Both instantiations
-/// of an emulated format give identical bits (`tests/decoded_solve.rs`).
+/// for the 8-bit, float16/bfloat16 (binary32 carrier), native and
+/// double-double formats.  Both instantiations of an emulated format give
+/// identical bits (`tests/decoded_solve.rs`).
 pub fn partial_schur<T: Real, Op: LinearOperator<T> + ?Sized>(
     op: &Op,
     opts: &ArnoldiOptions,

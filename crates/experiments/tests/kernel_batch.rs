@@ -1,34 +1,37 @@
-//! End-to-end guard for the decoded element type: a (matrix × format)
-//! experiment grid, whose emulated formats [`run_format`] solves at
-//! `Decoded<T>`, must serialize byte-identically to the same grid with
-//! every cell rerun at the plain format type `T` — both the JSON
-//! serialization of the whole `ExperimentResults` and the `lpa-store`
-//! payload encoding of every outcome.
+//! End-to-end guard for the element-type choice: a (matrix × format)
+//! experiment grid, as [`run_format`] solves it (posits and takums at
+//! `Decoded<T>`, float16 and bfloat16 at their own binary32-carrier type),
+//! must serialize byte-identically to the same grid with every cell rerun
+//! at the other element type of its format — the plain type `T` for the
+//! posits and takums, the soft-float reference `Decoded<T>` for float16
+//! and bfloat16 — both the JSON serialization of the whole
+//! `ExperimentResults` and the `lpa-store` payload encoding of every
+//! outcome.
 //!
 //! This is the proof that the element-type choice needs no
 //! [`lpa_experiments::persist::CODE_VERSION_SALT`] bump: artifacts
-//! persisted by a run at `T` stay valid at `Decoded<T>` and vice versa, so
+//! persisted by a run at one element type stay valid at the other, so
 //! existing stores warm-start unchanged.
 //!
 //! The format list spans the 16-bit formats, the 32-bit tapered formats
 //! and native float64, which runs at its own type on both sides (the
 //! control).
 
-use lpa_arith::{Bf16, Posit16, Posit32, Takum16, Takum32, F16};
+use lpa_arith::{Bf16, Decoded, Posit16, Posit32, Takum16, Takum32, F16};
 use lpa_datagen::{general_corpus, CorpusConfig, TestMatrix};
 use lpa_experiments::pipeline::run_typed;
 use lpa_experiments::{
     compute_reference, persist, run_format, ExperimentConfig, ExperimentPlan, FormatTag, Outcome,
 };
 
-/// One cell with the format's plain type as the element type.
-fn encoded_outcome(tm: &TestMatrix, format: FormatTag, cfg: &ExperimentConfig) -> Outcome {
+/// One cell at the element type `run_format` does not use for its format.
+fn other_type_outcome(tm: &TestMatrix, format: FormatTag, cfg: &ExperimentConfig) -> Outcome {
     let reference = compute_reference(&tm.matrix, cfg).expect("the grid kept this matrix");
     let m = &tm.matrix;
     let r = &reference;
     match format {
-        FormatTag::Float16 => run_typed::<F16>(m, r, format, cfg),
-        FormatTag::Bfloat16 => run_typed::<Bf16>(m, r, format, cfg),
+        FormatTag::Float16 => run_typed::<Decoded<F16>>(m, r, format, cfg),
+        FormatTag::Bfloat16 => run_typed::<Decoded<Bf16>>(m, r, format, cfg),
         FormatTag::Posit16 => run_typed::<Posit16>(m, r, format, cfg),
         FormatTag::Takum16 => run_typed::<Takum16>(m, r, format, cfg),
         FormatTag::Posit32 => run_typed::<Posit32>(m, r, format, cfg),
@@ -65,14 +68,13 @@ fn batch_engine_grid_serializes_identically_to_scalar() {
         ..Default::default()
     };
 
-    let decoded = ExperimentPlan::over(&corpus)
+    let grid = ExperimentPlan::over(&corpus)
         .formats(&formats)
         .config(cfg.clone())
         .run();
-    assert!(!decoded.matrices.is_empty(), "every reference solve failed");
+    assert!(!grid.matrices.is_empty(), "every reference solve failed");
     let solved = |f: FormatTag| {
-        decoded
-            .outcomes_for(f)
+        grid.outcomes_for(f)
             .iter()
             .any(|o| matches!(o, Outcome::Errors(_)))
     };
@@ -81,29 +83,29 @@ fn batch_engine_grid_serializes_identically_to_scalar() {
         "the grid must compare solved cells, not only failures"
     );
 
-    // The same grid, every cell rerun at the plain type.
-    let mut encoded = decoded.clone();
-    for mr in &mut encoded.matrices {
+    // The same grid, every cell rerun at the other element type.
+    let mut rerun = grid.clone();
+    for mr in &mut rerun.matrices {
         let tm = corpus
             .iter()
             .find(|tm| tm.name == mr.name)
             .expect("grid row from the corpus");
         for (format, outcome) in &mut mr.outcomes {
-            *outcome = encoded_outcome(tm, *format, &cfg);
+            *outcome = other_type_outcome(tm, *format, &cfg);
         }
     }
 
     // The whole result object, serialization included, must not change.
-    let decoded_json = serde_json::to_string(&decoded).expect("serialize decoded results");
-    let encoded_json = serde_json::to_string(&encoded).expect("serialize encoded results");
+    let grid_json = serde_json::to_string(&grid).expect("serialize grid results");
+    let rerun_json = serde_json::to_string(&rerun).expect("serialize rerun results");
     assert_eq!(
-        decoded_json, encoded_json,
-        "the decoded element type changed experiment results"
+        grid_json, rerun_json,
+        "the element type changed experiment results"
     );
 
     // And neither must the store payload bytes of any outcome: this is the
     // exact encoding persisted under CODE_VERSION_SALT-derived keys.
-    for (md, me) in decoded.matrices.iter().zip(&encoded.matrices) {
+    for (md, me) in grid.matrices.iter().zip(&rerun.matrices) {
         for ((fd, od), (fe, oe)) in md.outcomes.iter().zip(&me.outcomes) {
             assert_eq!(fd, fe);
             assert_eq!(

@@ -11,8 +11,9 @@
 //! * **schur** — the bits of `T` and `Z` from `lpa_dense::schur` plus one
 //!   `reorder_schur`, for fixed matrices with complex pairs, deflated
 //!   zero blocks and saturating entries, in every format at the element
-//!   type the pipeline solves it at (`Decoded<T>` for the emulated
-//!   16/32/64-bit formats), or the error it returns.
+//!   type the pipeline solves it at (`Decoded<T>` for the 16/32/64-bit
+//!   posits and takums, the format's own type for the rest), or the error
+//!   it returns.
 //!
 //! A mismatch means the numerics changed.  If that was intended, bump the
 //! owning feature in `lpa_numerics` (and the tier's declared constant) so
@@ -102,8 +103,8 @@ fn schur_pin_all(a: &DMatrix<f64>) -> Vec<(&'static str, String)> {
         ("ofp8-e5m2", schur_pin::<E5M2>(a)),
         ("posit8", schur_pin::<Posit8>(a)),
         ("takum8", schur_pin::<Takum8>(a)),
-        ("float16", schur_pin::<Decoded<F16>>(a)),
-        ("bfloat16", schur_pin::<Decoded<Bf16>>(a)),
+        ("float16", schur_pin::<F16>(a)),
+        ("bfloat16", schur_pin::<Bf16>(a)),
         ("posit16", schur_pin::<Decoded<Posit16>>(a)),
         ("takum16", schur_pin::<Decoded<Takum16>>(a)),
         ("float32", schur_pin::<f32>(a)),

@@ -117,8 +117,11 @@ pub enum FormatClass {
     Lut8,
     /// Hardware `f32`/`f64`: no emulation feature can affect them.
     Native,
-    /// 16/32/64-bit emulated formats: soft-float ops, solved at
-    /// `Decoded<T>`.
+    /// 16/32/64-bit emulated formats: the posits and takums run soft-float
+    /// ops, solved at `Decoded<T>`.  float16 and bfloat16 run on the
+    /// host's binary32 unit but stay in this class: their results equal
+    /// the soft-float kernel's bit for bit (by test, exhaustively), so the
+    /// kernel's features still describe them and no store key moves.
     Soft,
 }
 
